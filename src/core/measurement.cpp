@@ -327,9 +327,11 @@ std::vector<SlotOutcome> SlotRunner::run_concurrent(
                              ws.solver_.prepared_active_flows());
     }
     // The segment's solve window brackets the FF_HOT region: clock reads
-    // stay outside it, and the solve-seconds counter adds the whole range
-    // in one step rather than incrementing per iteration.
+    // stay outside it, and the solve-seconds and solver work counters add
+    // the whole range in one step rather than incrementing per iteration.
     const std::uint64_t solve_start = probe_ ? probe_->now() : 0;
+    std::uint64_t fill_iterations = 0;
+    std::uint64_t fallback_freezes = 0;
 
   // FF_HOT_BEGIN: per-second slot loop — ffcheck rejects allocation-shaped
   // calls until the matching FF_HOT_END (see src/lint/rules.h).
@@ -376,6 +378,8 @@ std::vector<SlotOutcome> SlotRunner::run_concurrent(
           std::max(ws.relay_capacity_[t] - ws.y_t_[t], 0.0);
 
     const auto rates = ws.solver_.solve_prepared(ws.resources_);
+    fill_iterations += ws.solver_.last_fill_iterations();
+    fallback_freezes += ws.solver_.last_fallback_freezes();
 
     std::fill(ws.x_t_.begin(), ws.x_t_.end(), 0.0);
     std::fill(ws.x_it_.begin(), ws.x_it_.end(), 0.0);
@@ -423,7 +427,8 @@ std::vector<SlotOutcome> SlotRunner::run_concurrent(
   // FF_HOT_END: per-second slot loop
     if (probe_)
       probe_->note_solve(probe_->now() - solve_start,
-                         static_cast<std::uint64_t>(seg_end - seg_begin));
+                         static_cast<std::uint64_t>(seg_end - seg_begin),
+                         fill_iterations, fallback_freezes);
   }
 
   if (have_faults) {

@@ -169,6 +169,8 @@ struct EngineMetrics {
   MetricId trace_rows = 0;     // campaign/trace_slots emitted
   MetricId prepare_calls = 0;  // solver/prepare_calls
   MetricId solve_seconds = 0;  // solver/solve_seconds (solve_prepared calls)
+  MetricId fill_iterations = 0;   // solver/fill_iterations (summed per solve)
+  MetricId fallback_freezes = 0;  // solver/fallback_freezes (summed per solve)
   MetricId fill_calls = 0;     // paths/fill_calls (one per target per slot)
   // Gauges.
   MetricId active_flows = 0;   // solver/active_flows (max over slots)
@@ -225,9 +227,13 @@ class SlotProbe {
     shard_->gauge_max(metrics_->active_flows,
                       static_cast<double>(active_flows));
   }
-  void note_solve(std::uint64_t micros, std::uint64_t seconds) {
+  void note_solve(std::uint64_t micros, std::uint64_t seconds,
+                  std::uint64_t fill_iterations,
+                  std::uint64_t fallback_freezes) {
     timing_.solve_micros += micros;
     shard_->add(metrics_->solve_seconds, seconds);
+    shard_->add(metrics_->fill_iterations, fill_iterations);
+    shard_->add(metrics_->fallback_freezes, fallback_freezes);
   }
   void note_segments(int segments) { segments_ = segments; }
 

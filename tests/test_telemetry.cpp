@@ -188,6 +188,23 @@ TEST(TelemetryDeterminism, MergedTotalsIdenticalAcrossThreadsAndShards) {
   // their observation *counts* are deterministic.
   const auto [base_csv, base] = run_with_recorder(/*threads=*/1,
                                                  /*shard=*/1);
+  const auto counter = [](const telemetry::Snapshot& snap,
+                          std::string_view name) {
+    for (const auto& [n, value] : snap.counters)
+      if (n == name) return value;
+    ADD_FAILURE() << "missing counter " << name;
+    return std::uint64_t{0};
+  };
+  // The solver work counters: every solve takes at least one filling
+  // iteration, and they are summed per solve, so they must merge to the
+  // same totals in every configuration below.
+  const std::uint64_t base_solves = counter(base, "solver/solve_seconds");
+  const std::uint64_t base_iterations =
+      counter(base, "solver/fill_iterations");
+  const std::uint64_t base_fallbacks =
+      counter(base, "solver/fallback_freezes");
+  EXPECT_GT(base_solves, 0u);
+  EXPECT_GE(base_iterations, base_solves);
   const struct {
     int threads;
     int shard;
@@ -199,6 +216,8 @@ TEST(TelemetryDeterminism, MergedTotalsIdenticalAcrossThreadsAndShards) {
     SCOPED_TRACE("threads=" + std::to_string(config.threads) +
                  " shard=" + std::to_string(config.shard));
     EXPECT_EQ(csv, base_csv);
+    EXPECT_EQ(counter(snap, "solver/fill_iterations"), base_iterations);
+    EXPECT_EQ(counter(snap, "solver/fallback_freezes"), base_fallbacks);
     EXPECT_EQ(snap.counters, base.counters);
     EXPECT_EQ(snap.gauges, base.gauges);
 
