@@ -2,10 +2,10 @@
 //
 // A 5%-scale network: ~328 relays sampled from a January-2019-like capacity
 // distribution, placed in geographic regions with a city-level RTT matrix.
-// The network carries the aggregate Markov client load plus 40 benchmark
-// clients. shadow_topology() additionally exposes the network as a
-// net::Topology (3 measurer hosts + one host per relay) so the real
-// FlashFlow BWAuth machinery can measure it.
+// The network carries a weight-proportional mean-field background load
+// plus 40 benchmark clients. shadow_topology() additionally exposes the
+// network as a net::Topology (3 measurer hosts + one host per relay) so the
+// real FlashFlow BWAuth machinery can measure it.
 #pragma once
 
 #include <array>

@@ -1,7 +1,7 @@
 // Hardware performance-counter sampling via Linux perf_event_open:
 // instructions, cycles and LLC misses for a bracketed region of the
-// calling process, surfaced as bench_campaign_scale --perf-counters
-// columns and flashflow run --metrics output.
+// calling process, surfaced only as bench_campaign_scale --perf-counters
+// columns.
 //
 // Graceful degradation is the contract: containers and locked-down CI
 // runners routinely deny perf_event_open (EACCES/EPERM via

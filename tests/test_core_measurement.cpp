@@ -174,6 +174,36 @@ TEST(SlotRunner, ConcurrentTargetsShareMeasurers) {
   }
 }
 
+TEST(SlotRunner, ConcurrentTargetsOnOneHostShareItsNic) {
+  const auto topo = table1();
+  Params params;
+  SlotRunner runner(topo, params, sim::Rng(5));
+  // Two relays whose own NIC and CPU could each forward the whole 954
+  // Mbit/s US-SW machine (§5 Sybils on one host). Measured together they
+  // contend for that host's NIC, so the estimates split one machine.
+  tor::RelayModel machine;
+  machine.nic_up_bits = machine.nic_down_bits = net::mbit(950);
+  machine.cpu.base_bits =
+      net::mbit(950) * (1.0 + machine.cpu.per_socket_overhead * 80);
+  std::vector<tor::RelayModel> models(2, machine);
+  models[0].name = "r0";
+  models[1].name = "r1";
+  std::vector<SlotRunner::ConcurrentTarget> targets(2);
+  for (std::size_t i = 0; i < targets.size(); ++i) {
+    targets[i].relay = &models[i];
+    targets[i].host = topo.find("US-SW");
+    targets[i].team = {{topo.find("US-E"), net::mbit(700), 40},
+                       {topo.find("NL"), net::mbit(700), 40}};
+  }
+  const auto outs = runner.run_concurrent(targets);
+  ASSERT_EQ(outs.size(), 2u);
+  // Together they measure one machine, far below the ~1,780 Mbit/s that
+  // two separate measurements of ~890 each would sum to.
+  const double combined = outs[0].estimate_bits + outs[1].estimate_bits;
+  EXPECT_LT(combined, net::mbit(1100));
+  EXPECT_GT(combined, net::mbit(800));
+}
+
 TEST(SlotRunner, OfferedRateBoundedByAllocation) {
   const auto topo = table1();
   Params params;

@@ -6,15 +6,19 @@
 // (plus every optional section) and fails if any emitted key is missing
 // from the page — so adding a key without documenting it breaks the
 // build, not a user. A second test keeps the relative links inside
-// docs/ and README.md pointing at files that exist.
+// docs/ and README.md pointing at files that exist. A layout test keeps
+// src/ free of modules that nothing but their own tests call.
 //
 // FLASHFLOW_REPO_DIR is injected by CMake so the suite finds the
 // checked-in markdown from any build directory.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <regex>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -160,6 +164,50 @@ TEST(DocsStaleness, DeterminismPageNamesTheSuppressionRules) {
   EXPECT_NE(doc.find("FFCHECK(ND03)"), std::string::npos);
   EXPECT_NE(doc.find("telemetry/clock.cpp"), std::string::npos);
   EXPECT_NE(doc.find("FF02"), std::string::npos);
+}
+
+TEST(RepoLayout, EverySrcHeaderHasANonTestIncluder) {
+  // A src/ module that only its own test includes is code the system
+  // never runs. Every header needs an includer among the library, the
+  // tools, the benches, the examples or the end-to-end benchmark; the
+  // header itself and its own .cpp do not count.
+  const std::regex include_line("^\\s*#\\s*include\\s*\"([^\"]+)\"");
+  std::map<std::string, std::set<fs::path>> includers;
+  for (const char* root : {"src", "tools", "bench", "examples", "e2ebench"})
+    for (const fs::directory_entry& entry :
+         fs::recursive_directory_iterator(repo_dir() / root)) {
+      const fs::path& file = entry.path();
+      if (file.extension() != ".h" && file.extension() != ".cpp") continue;
+      std::istringstream text(read_file(file));
+      std::smatch match;
+      for (std::string line; std::getline(text, line);)
+        if (std::regex_search(line, match, include_line))
+          includers[match[1].str()].insert(file);
+    }
+
+  const fs::path src = repo_dir() / "src";
+  std::vector<fs::path> headers;
+  for (const fs::directory_entry& entry :
+       fs::recursive_directory_iterator(src))
+    if (entry.path().extension() == ".h") headers.push_back(entry.path());
+  std::sort(headers.begin(), headers.end());
+  ASSERT_GE(headers.size(), 50u) << "src/ tree is missing headers";
+
+  std::vector<std::string> orphans;
+  for (const fs::path& header : headers) {
+    const std::string name = header.lexically_relative(src).generic_string();
+    const std::set<fs::path>& users = includers[name];
+    fs::path own_cpp = header;
+    own_cpp.replace_extension(".cpp");
+    const bool used = std::any_of(
+        users.begin(), users.end(), [&](const fs::path& user) {
+          return user != header && user != own_cpp;
+        });
+    if (!used) orphans.push_back(name);
+  }
+  EXPECT_TRUE(orphans.empty())
+      << orphans.size() << " src/ headers have no includer outside tests/: "
+      << ::testing::PrintToString(orphans);
 }
 
 }  // namespace

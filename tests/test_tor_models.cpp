@@ -7,46 +7,9 @@
 #include "tor/observed_bandwidth.h"
 #include "tor/relay.h"
 #include "tor/scheduler.h"
-#include "tor/token_bucket.h"
 
 namespace flashflow::tor {
 namespace {
-
-TEST(TokenBucket, StartsFullAndDrains) {
-  TokenBucket b(100.0, 250.0);
-  EXPECT_DOUBLE_EQ(b.available(), 250.0);
-  EXPECT_DOUBLE_EQ(b.take(100.0), 100.0);
-  EXPECT_DOUBLE_EQ(b.available(), 150.0);
-  EXPECT_DOUBLE_EQ(b.take(500.0), 150.0);  // partial grant
-  EXPECT_DOUBLE_EQ(b.available(), 0.0);
-}
-
-TEST(TokenBucket, RefillCapsAtBurst) {
-  TokenBucket b(100.0, 250.0);
-  b.take(250.0);
-  b.refill(1.0);
-  EXPECT_DOUBLE_EQ(b.available(), 100.0);
-  b.refill(10.0);
-  EXPECT_DOUBLE_EQ(b.available(), 250.0);
-}
-
-TEST(TokenBucket, Conservation) {
-  // Granted bytes never exceed burst + rate * time.
-  TokenBucket b(50.0, 100.0);
-  double granted = 0.0;
-  for (int s = 0; s < 20; ++s) {
-    granted += b.take(80.0);
-    b.refill(1.0);
-  }
-  EXPECT_LE(granted, 100.0 + 50.0 * 20 + 1e-9);
-}
-
-TEST(TokenBucket, RejectsNegativeArgs) {
-  EXPECT_THROW(TokenBucket(-1.0, 1.0), std::invalid_argument);
-  TokenBucket b(1.0, 1.0);
-  EXPECT_THROW(b.take(-1.0), std::invalid_argument);
-  EXPECT_THROW(b.refill(-1.0), std::invalid_argument);
-}
 
 TEST(ObservedBandwidth, MaxOverWindows) {
   ObservedBandwidth obs(2, 10);
