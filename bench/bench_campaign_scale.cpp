@@ -38,7 +38,7 @@
 #include "bench_util.h"
 #include "campaign/campaign.h"
 #include "net/units.h"
-#include "scenario/scenario.h"
+#include "scenario/experiment.h"
 #include "telemetry/perf_counters.h"
 #include "telemetry/telemetry.h"
 
@@ -108,13 +108,13 @@ SizeResult run_size_once(int relays, std::uint64_t seed, int threads,
       .threads(threads)
       .seed(seed);
   if (tiered) builder.tiered_topology();
-  scenario::Scenario scenario(builder.build());
+  scenario::Experiment experiment(builder.build());
 
   // The recorder exists only to measure instrumentation overhead: with
   // telemetry on the engine takes the guarded branches, with it off the
   // pre-telemetry instruction stream — results are identical either way.
   telemetry::Recorder recorder;
-  if (telemetry_on) scenario.set_telemetry(&recorder);
+  if (telemetry_on) experiment.set_telemetry(&recorder);
 
   CountingSink sink;
   SizeResult result;
@@ -125,7 +125,7 @@ SizeResult run_size_once(int relays, std::uint64_t seed, int threads,
   std::optional<telemetry::PerfSampler> sampler;
   if (perf) sampler.emplace();
   if (sampler) sampler->start();
-  result.stats = scenario.run(sink);
+  result.stats = experiment.run(&sink).periods.front().stats;
   if (sampler) {
     sampler->stop();
     result.perf = sampler->read();

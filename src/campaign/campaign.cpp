@@ -10,9 +10,19 @@
 #include "campaign/thread_pool.h"
 #include "core/allocation.h"
 #include "core/schedule.h"
-#include "core/team.h"
 
 namespace flashflow::campaign {
+
+std::vector<double> scheduling_priors(std::span<const CampaignRelay> relays,
+                                      const core::Params& params) {
+  std::vector<double> priors;
+  priors.reserve(relays.size());
+  for (const auto& r : relays)
+    priors.push_back(r.prior_estimate_bits > 0.0
+                         ? r.prior_estimate_bits
+                         : r.model.ground_truth(params.sockets));
+  return priors;
+}
 
 CampaignRunner::CampaignRunner(const net::Topology& topo,
                                CampaignConfig config)
@@ -20,24 +30,13 @@ CampaignRunner::CampaignRunner(const net::Topology& topo,
   config_.params.validate();
   if (config_.measurer_hosts.empty())
     throw std::invalid_argument("CampaignRunner: no measurers");
-  if (!config_.measurer_capacity_bits.empty() &&
-      config_.measurer_capacity_bits.size() != config_.measurer_hosts.size())
+  if (config_.measurer_capacity_bits.size() != config_.measurer_hosts.size())
     throw std::invalid_argument(
-        "CampaignRunner: capacity overrides misaligned with measurers");
-
-  core::Team team(topo_, config_.measurer_hosts);
-  if (config_.measurer_capacity_bits.empty()) {
-    team.measure_measurers(config_.seed);
-  } else {
-    for (std::size_t i = 0; i < config_.measurer_capacity_bits.size(); ++i)
-      team.set_capacity(i, config_.measurer_capacity_bits[i]);
-  }
-  measurer_caps_ = team.capacities();
-  measurer_cores_ = team.cores();
-}
-
-double CampaignRunner::team_capacity_bits() const {
-  return std::accumulate(measurer_caps_.begin(), measurer_caps_.end(), 0.0);
+        "CampaignRunner: measurer capacities missing or misaligned with "
+        "measurers");
+  measurer_cores_.reserve(config_.measurer_hosts.size());
+  for (const net::HostId host : config_.measurer_hosts)
+    measurer_cores_.push_back(topo_.host(host).cpu_cores);
 }
 
 RunStats CampaignRunner::run(std::span<const CampaignRelay> relays,
@@ -51,24 +50,19 @@ RunStats CampaignRunner::run(std::span<const CampaignRelay> relays,
   const std::uint64_t wall_start = wall_clock.now_micros();
   const core::Params& params = config_.params;
 
-  // Scheduling priors: explicit z0, or the oracle prior.
-  std::vector<double> priors;
-  priors.reserve(relays.size());
-  for (const auto& r : relays) {
-    const double prior = r.prior_estimate_bits > 0.0
-                             ? r.prior_estimate_bits
-                             : r.model.ground_truth(params.sockets);
+  const std::vector<double> priors = scheduling_priors(relays, params);
+  for (const double prior : priors)
     if (prior <= 0.0)
       throw std::invalid_argument("CampaignRunner: relay with no capacity");
-    priors.push_back(prior);
-  }
 
   // Period layout: relay -> slot. Timed into a local: the recorder's
   // shards are sized at begin_run(), which needs the lane count computed
   // further down, so the observation is deferred until then.
   const std::uint64_t layout_start = rec ? rec->now() : 0;
   RunStats stats;
-  const double team_capacity = team_capacity_bits();
+  const double team_capacity =
+      std::accumulate(config_.measurer_capacity_bits.begin(),
+                      config_.measurer_capacity_bits.end(), 0.0);
   std::vector<int> relay_slot;
   if (config_.schedule == ScheduleMode::kGreedyPack) {
     auto packing = core::greedy_pack(priors, team_capacity, params);
@@ -205,7 +199,7 @@ RunStats CampaignRunner::run(std::span<const CampaignRelay> relays,
 
     // §4.2 allocation: each relay in the slot claims f * z0 from the
     // measurers' remaining capacity, largest-residual first.
-    ws.residual = measurer_caps_;
+    ws.residual = config_.measurer_capacity_bits;
     const std::vector<std::size_t>& slot_members = work[w].members;
     const std::size_t n_targets = slot_members.size();
     if (ws.targets.size() < n_targets) ws.targets.resize(n_targets);

@@ -47,6 +47,13 @@ struct CampaignRelay {
   core::TargetBehavior behavior = core::TargetBehavior::kHonest;
 };
 
+/// The z0 each relay is scheduled and allocated by, aligned with `relays`:
+/// its explicit prior, else the oracle (Tor ground truth at
+/// params.sockets). The one prior rule — CampaignRunner::run packs by it
+/// and scenario::plan() reports it.
+std::vector<double> scheduling_priors(std::span<const CampaignRelay> relays,
+                                      const core::Params& params);
+
 enum class ScheduleMode {
   /// §7 largest-fit packing: minimum slots, measured back to back.
   kGreedyPack,
@@ -58,8 +65,9 @@ struct CampaignConfig {
   core::Params params;
   /// Measurer team (hosts must exist in the topology).
   std::vector<net::HostId> measurer_hosts;
-  /// Per-measurer capacity overrides aligned with `measurer_hosts` (lab
-  /// configs with known limits). Empty: run the §4.2 iPerf mesh.
+  /// Per-measurer capacities aligned with `measurer_hosts`: lab overrides
+  /// or the §4.2 iPerf mesh estimates (scenario::resolve_team_capacities).
+  /// Required.
   std::vector<double> measurer_capacity_bits;
   ScheduleMode schedule = ScheduleMode::kGreedyPack;
   /// Worker threads for slot execution; <= 0 selects hardware concurrency.
@@ -232,9 +240,8 @@ class SlotSink {
 
 class CampaignRunner {
  public:
-  /// Resolves the team's capacities up front (override or iPerf mesh), so
-  /// repeated runs reuse the same measurer estimates. Validates
-  /// `config.params` (core::Params::validate).
+  /// Validates `config.params` (core::Params::validate) and the team:
+  /// measurers present, each with a capacity.
   CampaignRunner(const net::Topology& topo, CampaignConfig config);
 
   /// Streams the whole population through `sink`, one delivery per
@@ -248,15 +255,9 @@ class CampaignRunner {
   /// recover wall-clock timing.
   CampaignResult run(std::span<const CampaignRelay> relays) const;
 
-  const std::vector<double>& measurer_capacities() const {
-    return measurer_caps_;
-  }
-  double team_capacity_bits() const;
-
  private:
   const net::Topology& topo_;
   CampaignConfig config_;
-  std::vector<double> measurer_caps_;
   std::vector<int> measurer_cores_;
 };
 

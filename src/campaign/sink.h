@@ -8,8 +8,8 @@
 //     batch run() overload is implemented on top of it),
 //   - CsvSink / JsonlSink stream one row/object per relay estimate to an
 //     ostream as the slots finish,
-//   - ProgressSink adapts a callback into the progress/cancellation hook
-//     and forwards everything else to an optional inner sink.
+//   - FanoutSink hands one stream to several sinks (files, an aggregate,
+//     a cancellation hook); any of them can cancel the run.
 //
 // SlotReorderBuffer is the delivery mechanism behind that ordering
 // guarantee: workers park completed slots in arbitrary order, the buffer
@@ -160,28 +160,28 @@ class FaultLedgerSink : public SlotSink {
   int period_ = -1;
 };
 
-/// Wraps a progress/cancellation callback, optionally forwarding results
-/// to an inner sink. The callback returns false to cancel the run.
-class ProgressSink : public SlotSink {
+/// Forwards every call to each attached sink, in attach order. The run
+/// continues while every sink's on_progress returns true; each sink still
+/// observes every progress call, so none misses the one that cancels.
+class FanoutSink : public SlotSink {
  public:
-  using Callback = std::function<bool(int slots_done, int slots_total)>;
-  explicit ProgressSink(Callback on_progress, SlotSink* inner = nullptr)
-      : callback_(std::move(on_progress)), inner_(inner) {}
+  void attach(SlotSink* sink) { sinks_.push_back(sink); }
 
   void begin(const RunPlan& plan) override {
-    if (inner_) inner_->begin(plan);
+    for (SlotSink* sink : sinks_) sink->begin(plan);
   }
   void slot_done(const SlotResult& slot) override {
-    if (inner_) inner_->slot_done(slot);
+    for (SlotSink* sink : sinks_) sink->slot_done(slot);
   }
   bool on_progress(int slots_done, int slots_total) override {
-    if (inner_ && !inner_->on_progress(slots_done, slots_total)) return false;
-    return !callback_ || callback_(slots_done, slots_total);
+    bool keep = true;
+    for (SlotSink* sink : sinks_)
+      keep = sink->on_progress(slots_done, slots_total) && keep;
+    return keep;
   }
 
  private:
-  Callback callback_;
-  SlotSink* inner_;
+  std::vector<SlotSink*> sinks_;
 };
 
 }  // namespace flashflow::campaign

@@ -1,15 +1,17 @@
 // FlowNet: a continuous fluid-flow network simulation.
 //
-// Flows traverse capacitated resources (NIC directions, relay CPUs, token
-// buckets, ...). Rates follow the weighted max-min fair allocation and stay
-// constant between flow-set changes, so byte accrual is piecewise linear and
-// exact. Finite-volume flows fire a completion callback at the precise time
-// their volume drains; rates are recomputed whenever the flow set or a
-// capacity changes.
+// Flows traverse capacitated resources (NIC directions, relay CPUs, ...).
+// Rates follow the weighted max-min fair allocation and stay constant
+// between flow-set changes, so byte accrual is piecewise linear and exact.
+// Finite-volume flows fire a completion callback at the precise time their
+// volume drains; rates are recomputed whenever the flow set or a capacity
+// changes.
 //
-// This is the substrate under every throughput experiment in the repo: the
-// iPerf meshes (Tables 1/3), the FlashFlow measurement slots (Figs 6/7,
-// 14-16, Table 4), and the Shadow-style load-balancing simulations (Fig 9).
+// It runs the event-driven throughput experiments: the iPerf meshes
+// (Tables 1/3, and the §4.2 measurer mesh of core::Team) and the
+// Shadow-style load-balancing simulations (Fig 9). FlashFlow measurement
+// slots do not run on it: core::SlotRunner steps each second itself and
+// calls net::FairShareSolver (net/fairshare.h) directly.
 #pragma once
 
 #include <cstdint>

@@ -8,43 +8,12 @@
 
 namespace flashflow::scenario {
 
-namespace {
-
-/// Forwards one period's stream to both the aggregating sink and an
-/// optional user sink. Cancellation from either side stops the run.
-class TeeSink : public campaign::SlotSink {
- public:
-  TeeSink(campaign::SlotSink& first, campaign::SlotSink* second)
-      : first_(first), second_(second) {}
-
-  void begin(const campaign::RunPlan& plan) override {
-    first_.begin(plan);
-    if (second_) second_->begin(plan);
-  }
-  void slot_done(const campaign::SlotResult& slot) override {
-    first_.slot_done(slot);
-    if (second_) second_->slot_done(slot);
-  }
-  bool on_progress(int slots_done, int slots_total) override {
-    bool keep = first_.on_progress(slots_done, slots_total);
-    if (second_) keep = second_->on_progress(slots_done, slots_total) && keep;
-    return keep;
-  }
-
- private:
-  campaign::SlotSink& first_;
-  campaign::SlotSink* second_;
-};
-
-}  // namespace
-
 Experiment::Experiment(ScenarioSpec spec)
     : spec_(std::move(spec)),
       materialized_(materialize(spec_)),
       // Resolved once — §4.2 measures the measurers when the spec carries
       // no capacity overrides — so every period reuses the same estimates
-      // instead of re-running the mesh with each period's seed, and a
-      // 1-period Experiment agrees exactly with Scenario::run().
+      // instead of re-running the mesh with each period's seed.
       measurer_caps_(resolve_team_capacities(spec_, materialized_)) {}
 
 Experiment::Result Experiment::run(campaign::SlotSink* sink,
@@ -78,8 +47,10 @@ Experiment::Result Experiment::run(campaign::SlotSink* sink,
                                           std::move(config));
 
     campaign::AggregatingSink aggregate;
-    TeeSink tee(aggregate, sink);
-    const campaign::RunStats stats = runner.run(relays, tee);
+    campaign::FanoutSink fanout;
+    fanout.attach(&aggregate);
+    if (sink) fanout.attach(sink);
+    const campaign::RunStats stats = runner.run(relays, fanout);
     campaign::CampaignResult period_result =
         std::move(aggregate).result(stats);
 

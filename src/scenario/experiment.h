@@ -2,10 +2,12 @@
 //
 // FlashFlow measures every relay once per period, and this period's
 // estimates become next period's scheduling/allocation priors z0. The
-// batch campaign engine runs one period; Experiment drives the loop:
+// batch campaign engine runs one period; Experiment drives the loop, and
+// is the one driver from a scenario spec to results (a 1-period spec is a
+// 1-period Experiment):
 //
 //   priors(0) = population priors (advertised bandwidth, configured z0,
-//               or the oracle)
+//               or the oracle; campaign::scheduling_priors)
 //   for p in 0..periods-1:
 //     result(p) = campaign over priors(p) with a fresh secret schedule
 //     priors(p+1) = estimates from result(p) (accepted relays only)
@@ -32,8 +34,9 @@ namespace flashflow::scenario {
 
 class Experiment {
  public:
-  /// Validates and materializes the spec. spec.periods controls how many
-  /// periods run() executes.
+  /// Validates and materializes the spec (throwing std::invalid_argument
+  /// for specs slot-based runs cannot honor, see make_relays) and resolves
+  /// the team. spec.periods controls how many periods run() executes.
   explicit Experiment(ScenarioSpec spec);
   Experiment(const Experiment&) = delete;
   Experiment& operator=(const Experiment&) = delete;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <numeric>
 #include <set>
 #include <stdexcept>
@@ -290,13 +291,24 @@ std::uint64_t period_seed(const ScenarioSpec& spec, int period) {
          sim::hash_tag("scenario/period-" + std::to_string(period));
 }
 
-MaterializedScenario materialize(const ScenarioSpec& spec) {
+std::vector<campaign::CampaignRelay> make_relays(const ScenarioSpec& spec) {
   spec.validate();
-  MaterializedScenario mat;
+  if (spec.speedtest)
+    reject("the speedtest window applies only to run_speed_test, not to "
+           "slot-based runs (Experiment, plan)");
+  std::vector<campaign::CampaignRelay> relays;
 
   if (const auto* t1 = std::get_if<Table1PopulationSpec>(&spec.population)) {
-    mat.topology = net::make_table1_hosts();
-    const net::HostId relay_host = mat.topology.find(t1->relay_host);
+    // make_table1_hosts() adds the hosts in table1_host_names() order.
+    const auto& names = net::table1_host_names();
+    const auto it = std::find(names.begin(), names.end(), t1->relay_host);
+    if (it == names.end()) {
+      std::string what = "table1 relay host '";
+      what += t1->relay_host;
+      what += "' is not a Table 1 host";
+      reject(what);
+    }
+    const auto relay_host = static_cast<net::HostId>(it - names.begin());
     for (std::size_t i = 0; i < t1->rate_limit_mbit.size(); ++i) {
       campaign::CampaignRelay relay;
       relay.model = make_table1_relay(i, t1->rate_limit_mbit[i],
@@ -305,8 +317,55 @@ MaterializedScenario materialize(const ScenarioSpec& spec) {
       relay.host = relay_host;
       relay.prior_estimate_bits =
           t1->prior_mbit > 0.0 ? net::mbit(t1->prior_mbit) : 0.0;
-      mat.relays.push_back(std::move(relay));
+      relays.push_back(std::move(relay));
     }
+  } else if (const auto* shadow =
+                 std::get_if<ShadowPopulationSpec>(&spec.population)) {
+    const auto network = shadowsim::make_shadow_net(shadow->params,
+                                                    shadow->seed);
+    for (std::size_t i = 0; i < network.relays.size(); ++i) {
+      const auto& r = network.relays[i];
+      campaign::CampaignRelay relay;
+      relay.model = make_capacity_relay(
+          r.fingerprint, r.capacity_bits, r.capacity_bits * r.utilization,
+          spec.params.ratio, spec.params.sockets);
+      relay.host = 3 + i;  // shadow_topology: hosts 0..2 are the measurers
+      relay.prior_estimate_bits = r.advertised_bits;
+      relays.push_back(std::move(relay));
+    }
+  } else {
+    const auto& syn = std::get<SyntheticPopulationSpec>(spec.population);
+    if (spec.team.capacity_bits.empty())
+      reject("synthetic population needs team capacity overrides "
+             "(there is no real topology to run the iPerf mesh on)");
+    const auto capacities = analysis::sample_capacities(
+        syn.params, syn.relays, spec.seed ^ sim::hash_tag("scenario/synthetic"));
+    // materialize() adds the measurer hosts first (ids 0..m-1), then one
+    // host per relay.
+    const std::size_t measurers = spec.team.capacity_bits.size();
+    for (std::size_t i = 0; i < capacities.size(); ++i) {
+      campaign::CampaignRelay relay;
+      relay.model = make_capacity_relay(
+          "synthetic-relay-" + std::to_string(i), capacities[i], 0.0,
+          spec.params.ratio, spec.params.sockets);
+      relay.host = measurers + i;
+      relay.prior_estimate_bits =
+          syn.prior_fraction > 0.0 ? capacities[i] * syn.prior_fraction : 0.0;
+      relays.push_back(std::move(relay));
+    }
+  }
+
+  assign_behaviors(spec, relays);
+  assign_background(spec, relays);
+  return relays;
+}
+
+MaterializedScenario materialize(const ScenarioSpec& spec) {
+  MaterializedScenario mat;
+  mat.relays = make_relays(spec);
+
+  if (const auto* t1 = std::get_if<Table1PopulationSpec>(&spec.population)) {
+    mat.topology = net::make_table1_hosts();
     // Default team: every Table 1 host except the relay host.
     std::vector<std::string> names = spec.team.measurer_names;
     if (names.empty())
@@ -316,30 +375,14 @@ MaterializedScenario materialize(const ScenarioSpec& spec) {
       mat.measurer_hosts.push_back(mat.topology.find(name));
   } else if (const auto* shadow =
                  std::get_if<ShadowPopulationSpec>(&spec.population)) {
-    const auto network = shadowsim::make_shadow_net(shadow->params,
-                                                    shadow->seed);
-    mat.topology = shadowsim::shadow_topology(network);
-    for (std::size_t i = 0; i < network.relays.size(); ++i) {
-      const auto& r = network.relays[i];
-      campaign::CampaignRelay relay;
-      relay.model = make_capacity_relay(
-          r.fingerprint, r.capacity_bits, r.capacity_bits * r.utilization,
-          spec.params.ratio, spec.params.sockets);
-      relay.host = 3 + i;  // shadow_topology: hosts 0..2 are the measurers
-      relay.prior_estimate_bits = r.advertised_bits;
-      mat.relays.push_back(std::move(relay));
-    }
+    // The same deterministic network make_relays() drew the relays from.
+    mat.topology = shadowsim::shadow_topology(
+        shadowsim::make_shadow_net(shadow->params, shadow->seed));
     std::vector<std::string> names = spec.team.measurer_names;
     if (names.empty()) names = {"measurer-0", "measurer-1", "measurer-2"};
     for (const auto& name : names)
       mat.measurer_hosts.push_back(mat.topology.find(name));
   } else {
-    const auto& syn = std::get<SyntheticPopulationSpec>(spec.population);
-    if (spec.team.capacity_bits.empty())
-      reject("synthetic population needs team capacity overrides "
-             "(there is no real topology to run the iPerf mesh on)");
-    const auto capacities = analysis::sample_capacities(
-        syn.params, syn.relays, spec.seed ^ sim::hash_tag("scenario/synthetic"));
     // Measurer hosts first (ids 0..m-1), then one host per relay, all on a
     // flat low-latency mesh. Under the default dense path model the mesh
     // is materialized all-pairs, so very large populations are
@@ -360,7 +403,7 @@ MaterializedScenario materialize(const ScenarioSpec& spec) {
           std::make_unique<net::TieredPathModel>(std::move(tier_params)));
     }
     mat.topology.reserve_hosts(spec.team.capacity_bits.size() +
-                               capacities.size());
+                               mat.relays.size());
     for (std::size_t i = 0; i < spec.team.capacity_bits.size(); ++i) {
       net::Host host;
       host.name = "measurer-" + std::to_string(i);
@@ -368,20 +411,12 @@ MaterializedScenario materialize(const ScenarioSpec& spec) {
       host.cpu_cores = 4;
       mat.measurer_hosts.push_back(mat.topology.add_host(std::move(host)));
     }
-    for (std::size_t i = 0; i < capacities.size(); ++i) {
+    for (const auto& relay : mat.relays) {
       net::Host host;
-      host.name = "synthetic-relay-" + std::to_string(i) + "-host";
-      host.nic_up_bits = host.nic_down_bits = capacities[i] * 1.2;
+      host.name = relay.model.name + "-host";
+      host.nic_up_bits = host.nic_down_bits = relay.model.nic_up_bits;
       host.cpu_cores = 2;
-      const net::HostId id = mat.topology.add_host(std::move(host));
-      campaign::CampaignRelay relay;
-      relay.model = make_capacity_relay(
-          "synthetic-relay-" + std::to_string(i), capacities[i], 0.0,
-          spec.params.ratio, spec.params.sockets);
-      relay.host = id;
-      relay.prior_estimate_bits =
-          syn.prior_fraction > 0.0 ? capacities[i] * syn.prior_fraction : 0.0;
-      mat.relays.push_back(std::move(relay));
+      mat.topology.add_host(std::move(host));
     }
     if (spec.topology.path_model == TopologySpec::PathModelKind::kDense)
       for (net::HostId a = 0; a < mat.topology.host_count(); ++a)
@@ -389,144 +424,57 @@ MaterializedScenario materialize(const ScenarioSpec& spec) {
           mat.topology.set_path(a, b, 0.05, 1.0e-6, 5.0e-5);
   }
 
-  mat.measurer_capacity_bits = spec.team.capacity_bits;
-  assign_behaviors(spec, mat.relays);
-  assign_background(spec, mat.relays);
   mat.fingerprints.reserve(mat.relays.size());
   for (const auto& relay : mat.relays)
     mat.fingerprints.push_back(relay.model.name);
   return mat;
 }
 
-Scenario::Scenario(ScenarioSpec spec) : spec_(std::move(spec)) {
-  spec_.validate();
-  if (spec_.speedtest)
-    throw std::invalid_argument(
-        "Scenario: the speedtest window applies only to run_speed_test, "
-        "not to slot-based scenario runs");
-}
-
-const MaterializedScenario& Scenario::materialized() const {
-  if (!materialized_)
-    materialized_ = std::make_unique<MaterializedScenario>(materialize(spec_));
-  return *materialized_;
-}
-
 std::vector<double> resolve_team_capacities(const ScenarioSpec& spec,
                                             const MaterializedScenario& mat) {
-  if (!mat.measurer_capacity_bits.empty()) return mat.measurer_capacity_bits;
+  if (!spec.team.capacity_bits.empty()) return spec.team.capacity_bits;
   core::Team team(mat.topology, mat.measurer_hosts);
   team.measure_measurers(spec.seed ^ sim::hash_tag("scenario/mesh"));
   return team.capacities();
 }
 
-const campaign::CampaignRunner& Scenario::runner() const {
-  if (!runner_) {
-    const MaterializedScenario& mat = materialized();
-    campaign::CampaignConfig config;
-    config.params = spec_.params;
-    config.measurer_hosts = mat.measurer_hosts;
-    config.measurer_capacity_bits = resolve_team_capacities(spec_, mat);
-    config.schedule = spec_.schedule;
-    config.threads = spec_.threads;
-    config.shard_slots = spec_.shard_slots;
-    config.seed = period_seed(spec_, 0);
-    config.record_outcomes = spec_.record_outcomes;
-    config.faults = spec_.faults;
-    config.telemetry = telemetry_;
-    runner_ = std::make_unique<campaign::CampaignRunner>(mat.topology,
-                                                         std::move(config));
-  }
-  return *runner_;
-}
+PlanResult plan(const ScenarioSpec& spec) {
+  const std::vector<double> priors =
+      campaign::scheduling_priors(make_relays(spec), spec.params);
+  // Without overrides the team comes from the iPerf mesh, which needs the
+  // materialized topology.
+  const std::vector<double> team =
+      spec.team.capacity_bits.empty()
+          ? resolve_team_capacities(spec, materialize(spec))
+          : spec.team.capacity_bits;
 
-const std::vector<double>& Scenario::prior_capacities() const {
-  if (priors_) return *priors_;
-  std::vector<double> priors;
-  if (materialized_) {
-    // The population is already built: read the priors off it (the same
-    // rule CampaignRunner applies) instead of regenerating the source.
-    for (const auto& relay : materialized_->relays)
-      priors.push_back(relay.prior_estimate_bits > 0.0
-                           ? relay.prior_estimate_bits
-                           : relay.model.ground_truth(spec_.params.sockets));
-  } else if (const auto* t1 =
-                 std::get_if<Table1PopulationSpec>(&spec_.population)) {
-    for (std::size_t i = 0; i < t1->rate_limit_mbit.size(); ++i) {
-      const auto model = make_table1_relay(i, t1->rate_limit_mbit[i],
-                                           t1->background_mbit,
-                                           spec_.params.ratio);
-      priors.push_back(t1->prior_mbit > 0.0
-                           ? net::mbit(t1->prior_mbit)
-                           : model.ground_truth(spec_.params.sockets));
-    }
-  } else if (const auto* shadow =
-                 std::get_if<ShadowPopulationSpec>(&spec_.population)) {
-    const auto network = shadowsim::make_shadow_net(shadow->params,
-                                                    shadow->seed);
-    // Same rule the runner applies: the advertised-bandwidth prior, or
-    // the oracle (ground truth == capacity for shadow relays) if a relay
-    // somehow advertises nothing.
-    for (const auto& r : network.relays)
-      priors.push_back(r.advertised_bits > 0.0 ? r.advertised_bits
-                                               : r.capacity_bits);
-  } else {
-    const auto& syn = std::get<SyntheticPopulationSpec>(spec_.population);
-    priors = analysis::sample_capacities(
-        syn.params, syn.relays,
-        spec_.seed ^ sim::hash_tag("scenario/synthetic"));
-    if (syn.prior_fraction > 0.0)
-      for (double& p : priors) p *= syn.prior_fraction;
-  }
-  priors_ = std::make_unique<std::vector<double>>(std::move(priors));
-  return *priors_;
-}
-
-PlanResult Scenario::plan() const {
-  const std::vector<double>& priors = prior_capacities();
   PlanResult plan;
   plan.relays = static_cast<int>(priors.size());
   plan.total_prior_bits =
       std::accumulate(priors.begin(), priors.end(), 0.0);
   plan.total_requirement_bits =
-      plan.total_prior_bits * spec_.params.excess_factor();
-  if (!spec_.team.capacity_bits.empty()) {
-    plan.team_capacity_bits =
-        std::accumulate(spec_.team.capacity_bits.begin(),
-                        spec_.team.capacity_bits.end(), 0.0);
-  } else {
-    // No overrides: resolving the team runs the iPerf mesh, which needs
-    // the materialized topology anyway.
-    plan.team_capacity_bits = runner().team_capacity_bits();
-  }
+      plan.total_prior_bits * spec.params.excess_factor();
+  plan.team_capacity_bits = std::accumulate(team.begin(), team.end(), 0.0);
 
-  if (spec_.schedule == campaign::ScheduleMode::kGreedyPack) {
+  if (spec.schedule == campaign::ScheduleMode::kGreedyPack) {
     const auto packing = core::greedy_pack(priors, plan.team_capacity_bits,
-                                           spec_.params);
+                                           spec.params);
     plan.slots_in_period = packing.slots_used;
     plan.slots_used = packing.slots_used;
     plan.simulated_seconds =
-        static_cast<double>(packing.slots_used) * spec_.params.slot_seconds;
+        static_cast<double>(packing.slots_used) * spec.params.slot_seconds;
   } else {
     core::PeriodSchedule schedule(
-        spec_.params, plan.team_capacity_bits,
-        period_seed(spec_, 0) ^ sim::hash_tag("campaign/schedule"));
+        spec.params, plan.team_capacity_bits,
+        period_seed(spec, 0) ^ sim::hash_tag("campaign/schedule"));
     const auto slots = schedule.schedule_old_relays(priors);
     plan.slots_in_period = schedule.slots_in_period();
     plan.slots_used = static_cast<int>(
         std::set<int>(slots.begin(), slots.end()).size());
     plan.simulated_seconds = static_cast<double>(plan.slots_in_period) *
-                             spec_.params.slot_seconds;
+                             spec.params.slot_seconds;
   }
   return plan;
-}
-
-campaign::RunStats Scenario::run(campaign::SlotSink& sink) const {
-  return runner().run(materialized().relays, sink);
-}
-
-campaign::CampaignResult Scenario::run() const {
-  return runner().run(materialized().relays);
 }
 
 analysis::SpeedTestResult run_speed_test(const ScenarioSpec& spec) {

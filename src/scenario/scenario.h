@@ -4,10 +4,11 @@
 // adversary mix, a background-traffic model, a measurer team, a schedule
 // mode and a period count — without any of the topology/allocation wiring
 // the bench binaries used to hand-roll. ScenarioBuilder composes specs
-// fluently; Scenario materializes one into a topology + campaign
-// population and runs (or just plans) a single period through
-// campaign::CampaignRunner; scenario::Experiment (experiment.h) drives the
-// multi-period §4.3 feedback loop on top.
+// fluently. One path leads from a spec to results: make_relays() builds
+// the campaign population, materialize() builds the topology around it,
+// and scenario::Experiment (experiment.h) runs the §4.3 period loop over
+// campaign::CampaignRunner — a 1-period spec is a 1-period Experiment.
+// plan() packs the same population into slots without a topology.
 //
 // Population sources:
 //   - Table1PopulationSpec: lab relays on the paper's Table 1 Internet
@@ -21,7 +22,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string>
 #include <variant>
@@ -161,7 +161,7 @@ struct ScenarioSpec {
   BackgroundModel background;
   core::Params params;
   campaign::ScheduleMode schedule = campaign::ScheduleMode::kGreedyPack;
-  /// Measurement periods for Experiment; Scenario::run executes one.
+  /// Measurement periods Experiment runs.
   int periods = 1;
   int threads = 1;
   /// Contiguous slots a worker lane claims per dispatch
@@ -176,7 +176,8 @@ struct ScenarioSpec {
   /// output byte identical to a pre-fault build.
   fault::FaultSpec faults;
   /// Engages the §3.4 archive speed-test experiment (run_speed_test);
-  /// slot-based Scenario/Experiment runs reject specs carrying it.
+  /// slot-based runs (make_relays, so Experiment and plan) reject specs
+  /// carrying it.
   std::optional<SpeedTestWindow> speedtest;
 
   /// Validates the spec (params + fractions + population/team coherence);
@@ -235,23 +236,41 @@ class ScenarioBuilder {
   ScenarioSpec spec_;
 };
 
-/// A spec turned into concrete simulation objects: an owned topology, the
-/// campaign population (behaviors and priors applied), and the resolved
+/// The campaign population a spec describes — relay models with the
+/// behavior, background and prior draws applied, each on the host id
+/// materialize() gives it — built without a topology. Validates the spec
+/// and rejects what slot-based runs cannot honor (a speedtest window; a
+/// synthetic population without team capacity overrides); throws
+/// std::invalid_argument.
+std::vector<campaign::CampaignRelay> make_relays(const ScenarioSpec& spec);
+
+/// A spec turned into concrete simulation objects: the make_relays()
+/// population, an owned topology built around it, and the resolved
 /// measurer hosts.
 struct MaterializedScenario {
   net::Topology topology;
   std::vector<campaign::CampaignRelay> relays;
   std::vector<net::HostId> measurer_hosts;
-  /// Capacity overrides aligned with measurer_hosts (empty: iPerf mesh).
-  std::vector<double> measurer_capacity_bits;
   /// Relay fingerprints, aligned with `relays` (bandwidth-file emission).
   std::vector<std::string> fingerprints;
 };
 
-/// Schedule-only dry run: how would this population pack into a period?
-/// Computed without materializing a topology, so it scales to full-network
-/// populations (§7's 6,419 relays) whose dense path matrices would not fit
-/// in memory. Requires team capacity overrides in the spec.
+/// Materializes a spec into topology + population.
+MaterializedScenario materialize(const ScenarioSpec& spec);
+
+/// Resolves the team's per-measurer capacities: the spec's overrides, or
+/// the §4.2 iPerf mesh over the materialized topology. Deterministic in
+/// the spec alone (the mesh seed is derived from spec.seed, not from any
+/// period), so every period and plan() agree on the team.
+std::vector<double> resolve_team_capacities(const ScenarioSpec& spec,
+                                            const MaterializedScenario& mat);
+
+/// The campaign seed for one measurement period of a scenario; Experiment
+/// advances through periods 0..n-1. Deterministic, and distinct across
+/// periods so every period draws a fresh secret schedule (§4.3).
+std::uint64_t period_seed(const ScenarioSpec& spec, int period);
+
+/// Schedule-only dry run: how would this population pack into period 0?
 struct PlanResult {
   int relays = 0;
   double total_prior_bits = 0.0;
@@ -267,64 +286,13 @@ struct PlanResult {
   double simulated_seconds = 0.0;
 };
 
-/// A materialized, runnable scenario: one measurement period.
-/// Materialization and team resolution happen lazily, so plan() never
-/// builds a topology. Not copyable (the campaign runner holds references
-/// into the materialization).
-class Scenario {
- public:
-  explicit Scenario(ScenarioSpec spec);  // validates
-  Scenario(const Scenario&) = delete;
-  Scenario& operator=(const Scenario&) = delete;
-
-  const ScenarioSpec& spec() const { return spec_; }
-
-  /// Lays the population out into slots without running any measurement.
-  PlanResult plan() const;
-
-  /// Streams one period through `sink` (campaign::CampaignRunner::run).
-  campaign::RunStats run(campaign::SlotSink& sink) const;
-  /// Batch convenience: one period, aggregated in memory.
-  campaign::CampaignResult run() const;
-
-  const MaterializedScenario& materialized() const;
-  const campaign::CampaignRunner& runner() const;
-
-  /// Attaches a telemetry recorder (borrowed; must outlive every run).
-  /// Call before the first run()/runner() — the campaign config is built
-  /// lazily and snapshots the pointer. Null (the default) keeps every
-  /// instrumentation site skipped.
-  void set_telemetry(telemetry::Recorder* recorder) { telemetry_ = recorder; }
-
-  /// The scheduling priors z0 this scenario starts from, aligned with the
-  /// population (what plan() packs and period 0 allocates by). Computed
-  /// once, without materializing a topology.
-  const std::vector<double>& prior_capacities() const;
-
- private:
-  ScenarioSpec spec_;
-  mutable std::unique_ptr<MaterializedScenario> materialized_;
-  mutable std::unique_ptr<campaign::CampaignRunner> runner_;
-  mutable std::unique_ptr<std::vector<double>> priors_;
-  telemetry::Recorder* telemetry_ = nullptr;
-};
-
-/// Materializes a spec into topology + population (exposed for callers
-/// that drive the campaign engine directly).
-MaterializedScenario materialize(const ScenarioSpec& spec);
-
-/// Resolves the team's per-measurer capacities: the spec's overrides, or
-/// the §4.2 iPerf mesh over the materialized topology. Deterministic in
-/// the spec alone (the mesh seed is derived from spec.seed, not from any
-/// period), so Scenario and Experiment agree on the team.
-std::vector<double> resolve_team_capacities(const ScenarioSpec& spec,
-                                            const MaterializedScenario& mat);
-
-/// The campaign seed for one measurement period of a scenario: period 0 is
-/// what Scenario::run uses; Experiment advances through periods 0..n-1.
-/// Deterministic, and distinct across periods so every period draws a
-/// fresh secret schedule (§4.3).
-std::uint64_t period_seed(const ScenarioSpec& spec, int period);
+/// Lays the make_relays() population out by the same priors and the same
+/// layout code period 0 of an Experiment uses, without running any
+/// measurement. With team capacity overrides it builds no topology, so it
+/// scales to full-network populations (§7's 6,419 relays) whose dense
+/// path matrices would not fit in memory; without them the team comes
+/// from the iPerf mesh, which materializes the spec.
+PlanResult plan(const ScenarioSpec& spec);
 
 /// The §3.4 relay speed-test experiment (Fig 5) over a scenario's
 /// synthetic population: floods every live relay to capacity for the test

@@ -200,8 +200,13 @@ TEST(Campaign, ProgressHookCancelsRemainingSlots) {
   const auto relays = small_population(topo);
 
   AggregatingSink aggregate;
-  ProgressSink cancel_after_first([](int done, int) { return done < 1; },
-                                  &aggregate);
+  struct CancelAfterFirst : SlotSink {
+    void slot_done(const SlotResult&) override {}
+    bool on_progress(int done, int) override { return done < 1; }
+  } cancel;
+  FanoutSink cancel_after_first;
+  cancel_after_first.attach(&aggregate);
+  cancel_after_first.attach(&cancel);
   auto config = lab_config(topo);
   config.threads = 2;
   const auto stats = CampaignRunner(topo, config).run(relays, cancel_after_first);
@@ -289,6 +294,12 @@ TEST(Campaign, RejectsBadConfig) {
   auto misaligned = lab_config(topo);
   misaligned.measurer_capacity_bits = {net::mbit(900)};
   EXPECT_THROW(CampaignRunner(topo, misaligned), std::invalid_argument);
+
+  // Capacities are required: the §4.2 mesh runs in
+  // scenario::resolve_team_capacities, not in the runner.
+  auto no_capacities = lab_config(topo);
+  no_capacities.measurer_capacity_bits.clear();
+  EXPECT_THROW(CampaignRunner(topo, no_capacities), std::invalid_argument);
 
   // Params are validated up front (core::Params::validate).
   auto bad_params = lab_config(topo);

@@ -269,14 +269,18 @@ TEST(CampaignFaults, CancellationInvariantsAcrossThreadsAndShards) {
   for (const int threads : {1, 8}) {
     for (const int shard : {1, 4}) {
       AggregatingSink aggregate;
-      int deliveries = 0;
-      ProgressSink cancel_after_three(
-          [&deliveries](int done, int total) {
-            EXPECT_LE(done, total);
-            deliveries = done;
-            return done < 3;
-          },
-          &aggregate);
+      struct CancelAfterThree : SlotSink {
+        int deliveries = 0;
+        void slot_done(const SlotResult&) override {}
+        bool on_progress(int done, int total) override {
+          EXPECT_LE(done, total);
+          deliveries = done;
+          return done < 3;
+        }
+      } cancel;
+      FanoutSink cancel_after_three;
+      cancel_after_three.attach(&aggregate);
+      cancel_after_three.attach(&cancel);
 
       auto config = lab_config(topo);
       config.threads = threads;
@@ -290,7 +294,7 @@ TEST(CampaignFaults, CancellationInvariantsAcrossThreadsAndShards) {
 
       EXPECT_TRUE(stats.cancelled) << "threads=" << threads;
       EXPECT_EQ(stats.slots_executed, 3) << "threads=" << threads;
-      EXPECT_EQ(stats.slots_executed, deliveries);
+      EXPECT_EQ(stats.slots_executed, cancel.deliveries);
       EXPECT_GT(stats.slots_skipped, 0) << "threads=" << threads;
 
       const auto partial = std::move(aggregate).result(stats);

@@ -30,7 +30,7 @@
 #include "campaign/campaign.h"
 #include "campaign/sink.h"
 #include "net/units.h"
-#include "scenario/scenario.h"
+#include "scenario/experiment.h"
 #include "scenario/serialize.h"
 #include "sim/random.h"
 #include "tor/cpu_model.h"
@@ -114,10 +114,10 @@ scenario::ScenarioSpec scenario_file_spec(int threads) {
 }
 
 std::string spec_csv(const scenario::ScenarioSpec& spec) {
-  const scenario::Scenario scenario(spec);
+  scenario::Experiment experiment(spec);
   std::ostringstream out;
   campaign::CsvSink sink(out);
-  scenario.run(sink);
+  experiment.run(&sink);
   return out.str();
 }
 

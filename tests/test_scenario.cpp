@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <numeric>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -11,6 +15,7 @@
 #include "campaign/sink.h"
 #include "net/units.h"
 #include "scenario/experiment.h"
+#include "scenario/serialize.h"
 #include "tor/bandwidth_file.h"
 
 namespace flashflow::scenario {
@@ -24,6 +29,34 @@ ScenarioSpec lab_spec(std::vector<double> limits_mbit,
       .measurer_capacities({net::mbit(900), net::mbit(900)})
       .seed(seed)
       .build();
+}
+
+/// One period of `spec`, aggregated in memory.
+campaign::CampaignResult run_once(ScenarioSpec spec) {
+  Experiment experiment(std::move(spec));
+  return experiment.run().final_period;
+}
+
+/// Priors from the topology-free population (what plan() packs).
+std::vector<double> plan_priors(const ScenarioSpec& spec) {
+  return campaign::scheduling_priors(make_relays(spec), spec.params);
+}
+
+/// Priors period 0 packs: the same rule over the materialized population.
+std::vector<double> run_priors(const Experiment& experiment) {
+  return campaign::scheduling_priors(experiment.materialized().relays,
+                                     experiment.spec().params);
+}
+
+/// Entries whose bit patterns differ (0 == bit-identical vectors).
+int bitwise_mismatches(const std::vector<double>& a,
+                       const std::vector<double>& b) {
+  EXPECT_EQ(a.size(), b.size());
+  int mismatches = 0;
+  for (std::size_t i = 0; i < std::min(a.size(), b.size()); ++i)
+    mismatches += std::bit_cast<std::uint64_t>(a[i]) !=
+                  std::bit_cast<std::uint64_t>(b[i]);
+  return mismatches;
 }
 
 TEST(ScenarioBuilder, RejectsInvalidSpecs) {
@@ -69,12 +102,15 @@ TEST(ScenarioBuilder, RejectsInvalidSpecs) {
   // (no real topology to mesh-measure).
   auto spec = ScenarioBuilder().synthetic({}, 10).build();
   EXPECT_THROW(materialize(spec), std::invalid_argument);
+  // A table1 relay host outside the Table 1 set has no host id.
+  auto off_table = ScenarioBuilder().table1_relays({100}).build();
+  std::get<Table1PopulationSpec>(off_table.population).relay_host = "XX";
+  EXPECT_THROW(make_relays(off_table), std::invalid_argument);
 }
 
 TEST(Scenario, Table1RunTracksGroundTruth) {
-  const Scenario scenario(
-      lab_spec({10, 25, 50, 75, 100, 150, 200, 250, 40, 120}));
-  const auto result = scenario.run();
+  const auto result =
+      run_once(lab_spec({10, 25, 50, 75, 100, 150, 200, 250, 40, 120}));
 
   ASSERT_EQ(result.relays.size(), 10u);
   EXPECT_EQ(result.summary.verification_failures, 0);
@@ -97,9 +133,9 @@ TEST(Scenario, DefaultTeamIsEveryOtherTable1Host) {
 }
 
 TEST(Scenario, PlanMatchesRunLayout) {
-  const Scenario scenario(lab_spec({10, 25, 50, 75, 100, 150, 200, 250}));
-  const auto plan = scenario.plan();
-  const auto result = scenario.run();
+  const auto spec = lab_spec({10, 25, 50, 75, 100, 150, 200, 250});
+  const auto plan = scenario::plan(spec);
+  const auto result = run_once(spec);
 
   EXPECT_EQ(plan.relays, 8);
   EXPECT_EQ(plan.team_capacity_bits, net::mbit(1800));
@@ -114,14 +150,13 @@ TEST(Scenario, SyntheticPlanCoversWholePopulationWithoutTopology) {
   pop.max_capacity_bits = 998e6;
   // §7 scale: thousands of relays. plan() must not materialize a topology
   // (whose dense path matrices would dwarf the schedule itself).
-  const Scenario scenario(ScenarioBuilder("sec7")
-                              .synthetic(pop, 6419)
-                              .measurer_capacities({net::gbit(1),
-                                                    net::gbit(1),
-                                                    net::gbit(1)})
-                              .seed(20210613)
-                              .build());
-  const auto plan = scenario.plan();
+  const auto plan = scenario::plan(ScenarioBuilder("sec7")
+                                       .synthetic(pop, 6419)
+                                       .measurer_capacities({net::gbit(1),
+                                                             net::gbit(1),
+                                                             net::gbit(1)})
+                                       .seed(20210613)
+                                       .build());
   EXPECT_EQ(plan.relays, 6419);
   EXPECT_EQ(plan.team_capacity_bits, net::gbit(3));
   // The paper needs ~599 slots (~5 h) for the July 2019 network.
@@ -131,22 +166,38 @@ TEST(Scenario, SyntheticPlanCoversWholePopulationWithoutTopology) {
 }
 
 TEST(Scenario, SyntheticPlanAgreesWithRun) {
-  // plan() derives priors without a topology; run() materializes relays
-  // whose oracle ground truth must reproduce exactly the same layout.
+  // plan() derives priors without a topology; the run materializes relays
+  // whose priors must be the very same doubles, so both lay out the same
+  // slots.
   analysis::PopulationParams pop;
   pop.lognormal_mu = 16.0;
   pop.max_capacity_bits = 200e6;
-  const Scenario scenario(ScenarioBuilder("syn")
-                              .synthetic(pop, 40)
-                              .measurer_capacities({net::mbit(900),
-                                                    net::mbit(900)})
-                              .seed(13)
-                              .build());
-  const auto plan = scenario.plan();
-  const auto result = scenario.run();
+  const auto spec = ScenarioBuilder("syn")
+                        .synthetic(pop, 40)
+                        .measurer_capacities({net::mbit(900), net::mbit(900)})
+                        .seed(13)
+                        .build();
+  const auto plan = scenario::plan(spec);
+  Experiment experiment(spec);
+  EXPECT_EQ(bitwise_mismatches(plan_priors(spec), run_priors(experiment)), 0);
+  const auto result = experiment.run().final_period;
   EXPECT_EQ(plan.slots_in_period, result.summary.slots_in_period);
   EXPECT_EQ(plan.slots_used, result.summary.slots_executed);
   EXPECT_EQ(plan.relays, result.summary.relays_measured);
+
+  // The §7 population of scenarios/sec7.yaml (6,419 relays), on the tiered
+  // path model so materializing it stays small. Every prior plan() packs
+  // must be bit-identical to the one the run packs, not merely land on
+  // the same slot count.
+  ScenarioSpec sec7 =
+      load_scenario_file(default_scenario_dir() + "/sec7.yaml");
+  sec7.topology.path_model = TopologySpec::PathModelKind::kTiered;
+  const Experiment sec7_run(sec7);
+  const std::vector<double> packed = run_priors(sec7_run);
+  ASSERT_EQ(packed.size(), 6419u);
+  EXPECT_EQ(bitwise_mismatches(plan_priors(sec7), packed), 0);
+  EXPECT_EQ(scenario::plan(sec7).total_prior_bits,
+            std::accumulate(packed.begin(), packed.end(), 0.0));
 }
 
 TEST(Scenario, ShadowPlanAgreesWithRun) {
@@ -155,15 +206,16 @@ TEST(Scenario, ShadowPlanAgreesWithRun) {
   // land on the same slot layout.
   shadowsim::ShadowNetParams net_params;
   net_params.relays = 25;
-  const Scenario scenario(ScenarioBuilder("shadow-plan")
-                              .shadow_net(net_params, 3)
-                              .measurer_capacities({net::gbit(1),
-                                                    net::gbit(1),
-                                                    net::gbit(1)})
-                              .seed(17)
-                              .build());
-  const auto plan = scenario.plan();
-  const auto result = scenario.run();
+  const auto spec = ScenarioBuilder("shadow-plan")
+                        .shadow_net(net_params, 3)
+                        .measurer_capacities(
+                            {net::gbit(1), net::gbit(1), net::gbit(1)})
+                        .seed(17)
+                        .build();
+  const auto plan = scenario::plan(spec);
+  Experiment experiment(spec);
+  EXPECT_EQ(bitwise_mismatches(plan_priors(spec), run_priors(experiment)), 0);
+  const auto result = experiment.run().final_period;
   EXPECT_EQ(plan.slots_in_period, result.summary.slots_in_period);
   EXPECT_EQ(plan.slots_used, result.summary.slots_executed);
   EXPECT_EQ(plan.relays, result.summary.relays_measured);
@@ -187,7 +239,7 @@ TEST(Scenario, RecordOutcomesStreamsPerSecondTimeline) {
                   .record_outcomes()
                   .seed(20210607)
                   .build();
-  const Scenario scenario(std::move(spec));
+  Experiment experiment(std::move(spec));
 
   struct TimelineSink : campaign::SlotSink {
     std::vector<core::SlotOutcome> outcomes;
@@ -195,7 +247,7 @@ TEST(Scenario, RecordOutcomesStreamsPerSecondTimeline) {
       for (const auto& out : slot.outcomes) outcomes.push_back(out);
     }
   } sink;
-  scenario.run(sink);
+  experiment.run(&sink);
 
   ASSERT_EQ(sink.outcomes.size(), 1u);
   EXPECT_EQ(sink.outcomes[0].x_bits.size(), 30u);
@@ -274,10 +326,9 @@ TEST(Experiment, LiarInflationBoundedByMaxInflation) {
                        .seed(31)
                        .build();
 
-  const Scenario honest(std::move(honest_spec));
-  const Scenario lying(std::move(liar_spec));
-  const auto honest_result = honest.run();
-  const auto liar_result = lying.run();
+  Experiment lying(std::move(liar_spec));
+  const auto honest_result = run_once(std::move(honest_spec));
+  const auto liar_result = lying.run().final_period;
 
   const double bound = core::Params{}.max_inflation();  // 1/(1-r) = 1.33
   int liars_seen = 0;
@@ -312,12 +363,12 @@ TEST(Experiment, ForgersFailVerification) {
                   .forgers(0.4)
                   .seed(7)
                   .build();
-  const Scenario scenario(std::move(spec));
-  const auto result = scenario.run();
+  Experiment experiment(std::move(spec));
+  const auto result = experiment.run().final_period;
 
   int forgers = 0;
   for (std::size_t i = 0; i < result.relays.size(); ++i) {
-    const bool is_forger = scenario.materialized().relays[i].behavior ==
+    const bool is_forger = experiment.materialized().relays[i].behavior ==
                            core::TargetBehavior::kForgeEchoes;
     forgers += is_forger;
     // The sampled spot check catches a 100 Mbit/s forger in a 30 s slot
@@ -353,18 +404,36 @@ TEST(Experiment, EmitsParsableBandwidthFile) {
   for (const auto& entry : parsed.entries) EXPECT_GT(entry.weight, 0.0);
 }
 
-TEST(Experiment, OnePeriodAgreesWithScenarioRun) {
-  // Both entry points must resolve the iPerf mesh with the same seed, so
-  // a 1-period Experiment and Scenario::run() are interchangeable.
+TEST(Experiment, TeamWithoutOverridesComesFromTheMesh) {
+  // No capacity overrides: the team is the §4.2 iPerf mesh over the
+  // materialized topology, seeded from the spec alone, and plan() sizes
+  // the period by the same team.
   const auto spec = ScenarioBuilder("mesh")
                         .table1_relays({50, 100, 250})
                         .seed(99)
-                        .build();  // no capacity overrides: mesh runs
-  const Scenario scenario{ScenarioSpec{spec}};
-  Experiment experiment{ScenarioSpec{spec}};
-  const auto direct = scenario.run();
-  const auto looped = experiment.run();
-  EXPECT_TRUE(direct == looped.final_period);
+                        .build();
+  const Experiment experiment(spec);
+  const auto mesh = resolve_team_capacities(spec, materialize(spec));
+  ASSERT_EQ(mesh.size(), 4u);  // every Table 1 host but the relay's
+  for (const double capacity : mesh) EXPECT_GT(capacity, 0.0);
+  EXPECT_EQ(experiment.measurer_capacities(), mesh);
+  EXPECT_EQ(scenario::plan(spec).team_capacity_bits,
+            std::accumulate(mesh.begin(), mesh.end(), 0.0));
+}
+
+TEST(Experiment, RejectsSpeedTestWindow) {
+  // scenarios/fig05.yaml with team overrides added: the spec validates,
+  // but the §3.4 window belongs to run_speed_test, and a slot-based run
+  // must refuse it rather than drop it.
+  const auto spec = ScenarioBuilder("fig5")
+                        .synthetic({}, 220)
+                        .measurer_capacities(
+                            {net::gbit(1), net::gbit(1), net::gbit(1)})
+                        .speedtest(SpeedTestWindow{})
+                        .seed(20210605)
+                        .build();
+  EXPECT_THROW({ Experiment experiment(spec); }, std::invalid_argument);
+  EXPECT_THROW(scenario::plan(spec), std::invalid_argument);
 }
 
 TEST(SpeedTest, RejectsSpecsItCannotHonor) {

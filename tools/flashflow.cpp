@@ -197,27 +197,6 @@ std::vector<std::uint64_t> parse_u64_list(const std::string& text,
   return out;
 }
 
-/// Streams one slot delivery to every attached sink (CSV + JSONL files).
-class FanoutSink : public campaign::SlotSink {
- public:
-  void attach(campaign::SlotSink* sink) { sinks_.push_back(sink); }
-
-  void begin(const campaign::RunPlan& plan) override {
-    for (auto* sink : sinks_) sink->begin(plan);
-  }
-  void slot_done(const campaign::SlotResult& slot) override {
-    for (auto* sink : sinks_) sink->slot_done(slot);
-  }
-  bool on_progress(int done, int total) override {
-    bool keep = true;
-    for (auto* sink : sinks_) keep = sink->on_progress(done, total) && keep;
-    return keep;
-  }
-
- private:
-  std::vector<campaign::SlotSink*> sinks_;
-};
-
 /// Runs one scenario into `dir` (created if needed): normalized
 /// scenario.yaml, streamed results.csv/results.jsonl, final-period
 /// bandwidth.txt. Returns the experiment result for reporting.
@@ -241,7 +220,7 @@ scenario::Experiment::Result run_into_dir(
     die("cannot write results under " + dir.string());
   campaign::CsvSink csv(csv_out);
   campaign::JsonlSink jsonl(jsonl_out);
-  FanoutSink fanout;
+  campaign::FanoutSink fanout;
   fanout.attach(&csv);
   fanout.attach(&jsonl);
 
@@ -349,8 +328,7 @@ int cmd_plan(Flags& flags) {
   flags.reject_leftovers();
 
   const scenario::ScenarioSpec spec = scenario::load_scenario_file(path);
-  const scenario::Scenario scenario(spec);
-  const auto plan = scenario.plan();
+  const auto plan = scenario::plan(spec);
   std::cout << "scenario '" << spec.name << "':\n"
             << "  relays               : " << plan.relays << "\n"
             << "  total prior          : "
