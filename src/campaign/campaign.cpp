@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <numeric>
 #include <stdexcept>
 #include <utility>
@@ -18,9 +19,10 @@ std::vector<double> scheduling_priors(std::span<const CampaignRelay> relays,
   std::vector<double> priors;
   priors.reserve(relays.size());
   for (const auto& r : relays)
-    priors.push_back(r.prior_estimate_bits > 0.0
-                         ? r.prior_estimate_bits
-                         : r.model.ground_truth(params.sockets));
+    // A NaN prior is not "no prior": it passes through for run() to reject.
+    priors.push_back(r.prior_estimate_bits <= 0.0
+                         ? r.model.ground_truth(params.sockets)
+                         : r.prior_estimate_bits);
   return priors;
 }
 
@@ -52,14 +54,16 @@ RunStats CampaignRunner::run(std::span<const CampaignRelay> relays,
 
   const std::vector<double> priors = scheduling_priors(relays, params);
   for (const double prior : priors)
-    if (prior <= 0.0)
-      throw std::invalid_argument("CampaignRunner: relay with no capacity");
+    if (!std::isfinite(prior) || prior <= 0.0)
+      throw std::invalid_argument(
+          "CampaignRunner: relay with no capacity or a non-finite prior");
 
   // Period layout: relay -> slot. Timed into a local: the recorder's
   // shards are sized at begin_run(), which needs the lane count computed
   // further down, so the observation is deferred until then.
   const std::uint64_t layout_start = rec ? rec->now() : 0;
   RunStats stats;
+  stats.period_capacity_slots = core::slots_per_period(params);
   const double team_capacity =
       std::accumulate(config_.measurer_capacity_bits.begin(),
                       config_.measurer_capacity_bits.end(), 0.0);

@@ -196,7 +196,12 @@ struct SlotResult {
 /// where wall-clock time lives — deliberately outside CampaignSummary so
 /// campaign results stay comparable across runs and machines.
 struct RunStats {
+  /// Slots the run spanned: the layout's period (greedy: the packing
+  /// length) or the last retry slot, whichever is later.
   int slots_in_period = 0;
+  /// Slots that fit in one measurement period (core::slots_per_period).
+  /// slots_in_period above it means the period overran.
+  int period_capacity_slots = 0;
   /// Slots delivered to the sink.
   int slots_executed = 0;
   /// Occupied slots skipped because the sink cancelled the run (counted

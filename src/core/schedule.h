@@ -8,7 +8,21 @@
 //
 // greedy_pack() implements the §7 efficiency estimate: fill slots in order,
 // always taking the largest still-unmeasured relay that fits, yielding the
-// minimum measurement time for the whole network.
+// minimum measurement time for the whole network. It runs in O(n log n)
+// for n relays: one sort, then per placement a binary search for the
+// first need that fits the room left plus a path-halved "next unplaced"
+// lookup, instead of a rescan of the sorted list per slot. Placements,
+// sums and throws are those of the rescan (tests/test_core_schedule.cpp
+// keeps it as a differential oracle).
+//
+// PeriodSchedule::schedule_old_relays() keeps the min and max load of
+// every block of 16 slots. Per relay it checks the S/16 blocks and scans
+// only those whose slots are partly feasible: O(S/16) while few slots
+// are near full, O(S) at worst, against the O(S) scan plus a feasible
+// list per relay it replaces. Its RNG draws are those of the scan.
+//
+// Both layouts reject non-finite or non-positive capacity estimates with
+// std::invalid_argument.
 #pragma once
 
 #include <cstdint>
@@ -28,8 +42,12 @@ struct PackingResult {
   double total_requirement_bits = 0;
 };
 
-/// §7 greedy largest-fit packing. Throws if any single relay needs more
-/// than the team capacity.
+/// Slots in one measurement period (params.period / slot length), the
+/// capacity a layout can use before it overruns the period.
+int slots_per_period(const Params& params);
+
+/// §7 greedy largest-fit packing. Throws std::runtime_error if any single
+/// relay needs more than the team capacity.
 PackingResult greedy_pack(std::span<const double> capacity_estimates,
                           double team_capacity_bits, const Params& params);
 

@@ -455,6 +455,7 @@ PlanResult plan(const ScenarioSpec& spec) {
   plan.total_requirement_bits =
       plan.total_prior_bits * spec.params.excess_factor();
   plan.team_capacity_bits = std::accumulate(team.begin(), team.end(), 0.0);
+  plan.period_capacity_slots = core::slots_per_period(spec.params);
 
   if (spec.schedule == campaign::ScheduleMode::kGreedyPack) {
     const auto packing = core::greedy_pack(priors, plan.team_capacity_bits,

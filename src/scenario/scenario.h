@@ -282,6 +282,9 @@ struct PlanResult {
   /// number of occupied slots.
   int slots_in_period = 0;
   int slots_used = 0;
+  /// Slots that fit in one measurement period (core::slots_per_period).
+  /// A greedy packing with slots_used above it overruns the period.
+  int period_capacity_slots = 0;
   /// Back-to-back measurement time (greedy) or the full period span.
   double simulated_seconds = 0.0;
 };

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <limits>
 #include <sstream>
 #include <utility>
 #include <vector>
@@ -305,6 +306,45 @@ TEST(Campaign, RejectsBadConfig) {
   auto bad_params = lab_config(topo);
   bad_params.params.ratio = 1.0;
   EXPECT_THROW(CampaignRunner(topo, bad_params), std::invalid_argument);
+}
+
+TEST(Campaign, RejectsNonFiniteOrNonPositivePriors) {
+  // The period layouts sort and compare priors, so NaN (which the
+  // "<= 0 means oracle" rule must not mistake for "no prior") and
+  // infinities are rejected up front, as is a relay with no capacity.
+  const auto topo = net::make_table1_hosts();
+  const CampaignRunner runner(topo, lab_config(topo));
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    auto relays = small_population(topo);
+    relays[3].prior_estimate_bits = bad;
+    EXPECT_THROW(runner.run(relays), std::invalid_argument) << bad;
+  }
+  auto no_capacity = small_population(topo);
+  no_capacity[0].model.nic_up_bits = no_capacity[0].model.nic_down_bits = 0.0;
+  no_capacity[0].model.rate_limit_bits = 0.0;
+  EXPECT_THROW(runner.run(no_capacity), std::invalid_argument);
+}
+
+TEST(Campaign, ReportsThePeriodCapacityAndOverrun) {
+  const auto topo = net::make_table1_hosts();
+  const auto relays = small_population(topo);
+  auto config = lab_config(topo);
+  AggregatingSink sink;
+  const RunStats stats = CampaignRunner(topo, config).run(relays, sink);
+  EXPECT_EQ(stats.period_capacity_slots, 2880);
+  EXPECT_LE(stats.slots_in_period, stats.period_capacity_slots);
+
+  // A one-slot period cannot hold the packing: the run still measures
+  // every relay and reports more slots used than the period holds.
+  config.params.period = config.params.slot_seconds * sim::kSecond;
+  AggregatingSink short_sink;
+  const RunStats overrun =
+      CampaignRunner(topo, config).run(relays, short_sink);
+  EXPECT_EQ(overrun.period_capacity_slots, 1);
+  EXPECT_GT(overrun.slots_in_period, overrun.period_capacity_slots);
+  EXPECT_EQ(std::move(short_sink).result(overrun).summary.relays_measured,
+            static_cast<int>(relays.size()));
 }
 
 }  // namespace

@@ -163,6 +163,20 @@ TEST(Scenario, SyntheticPlanCoversWholePopulationWithoutTopology) {
   EXPECT_GT(plan.slots_used, 300);
   EXPECT_LT(plan.slots_used, 1200);
   EXPECT_DOUBLE_EQ(plan.simulated_seconds, plan.slots_used * 30.0);
+  // ~5 h of a 24 h period: no overrun.
+  EXPECT_EQ(plan.period_capacity_slots, 2880);
+  EXPECT_LE(plan.slots_used, plan.period_capacity_slots);
+}
+
+TEST(Scenario, FleetPlanReportsThePeriodOverrun) {
+  // scenarios/fleet50k.yaml: 50,000 relays need more slots than a 24 h
+  // period holds; plan() says so instead of stretching the period.
+  const auto plan = scenario::plan(
+      load_scenario_file(default_scenario_dir() + "/fleet50k.yaml"));
+  EXPECT_EQ(plan.relays, 50000);
+  EXPECT_EQ(plan.period_capacity_slots, 2880);
+  EXPECT_EQ(plan.slots_used, 4669);
+  EXPECT_GT(plan.slots_used, plan.period_capacity_slots);
 }
 
 TEST(Scenario, SyntheticPlanAgreesWithRun) {

@@ -254,6 +254,14 @@ scenario::Experiment::Result run_into_dir(
   const auto result = experiment.run(
       &fanout, [&](const scenario::Experiment::PeriodRecord& record,
                    const campaign::CampaignResult&) {
+        // An overrun is a warning, not an error: the period's results
+        // are still written, they just took longer than the period.
+        const campaign::RunStats& stats = record.stats;
+        if (stats.slots_in_period > stats.period_capacity_slots)
+          std::cerr << "flashflow: warning: period " << record.period
+                    << " overran: " << stats.slots_in_period
+                    << " slots used, " << stats.period_capacity_slots
+                    << " fit in the period\n";
         if (quiet) return;
         std::cout << "  period " << record.period << ": "
                   << record.summary.relays_measured << " relays in "
@@ -341,6 +349,12 @@ int cmd_plan(Flags& flags) {
             << "  slots used           : " << plan.slots_used << "\n"
             << "  simulated time       : " << plan.simulated_seconds / 3600.0
             << " h (" << plan.simulated_seconds << " s)\n";
+  if (plan.slots_used > plan.period_capacity_slots)
+    std::cout << "  period overrun       : " << plan.slots_used
+              << " slots used, " << plan.period_capacity_slots
+              << " fit in the "
+              << plan.period_capacity_slots * spec.params.slot_seconds / 3600.0
+              << " h period\n";
   return 0;
 }
 
