@@ -75,7 +75,6 @@ struct CountingSink : campaign::SlotSink {
 struct SizeResult {
   int relays = 0;
   int threads = 1;
-  bool tiered = false;
   /// A telemetry::Recorder was attached for this run (overhead probing;
   /// the engine output is byte-identical either way).
   bool telemetry = false;
@@ -92,23 +91,22 @@ struct SizeResult {
 };
 
 SizeResult run_size_once(int relays, std::uint64_t seed, int threads,
-                         bool tiered, bool perf, bool telemetry_on) {
+                         bool perf, bool telemetry_on) {
   // July-2019-like capacity mixture (bench_sec7): largest 998 Mbit/s,
   // whole-network total ~608 Gbit/s at 6,419 relays.
   analysis::PopulationParams pop;
   pop.lognormal_mu = 17.42;
   pop.lognormal_sigma = 1.45;
   pop.max_capacity_bits = 998e6;
-  // --path-model tiered swaps the dense n x n flat mesh for the implicit
-  // 1-tier model (same 0.05 s / loss constants, so per-pair values are
-  // identical); it is what makes the 50k-relay row fit in memory.
-  scenario::ScenarioBuilder builder("campaign-scale");
-  builder.synthetic(pop, relays)
-      .measurer_capacities({net::gbit(1), net::gbit(1), net::gbit(1)})
-      .threads(threads)
-      .seed(seed);
-  if (tiered) builder.tiered_topology();
-  scenario::Experiment experiment(builder.build());
+  // The synthetic flat mesh resolves its paths implicitly (O(hosts)
+  // memory), which is what makes the 50k-relay row fit in memory.
+  scenario::Experiment experiment(
+      scenario::ScenarioBuilder("campaign-scale")
+          .synthetic(pop, relays)
+          .measurer_capacities({net::gbit(1), net::gbit(1), net::gbit(1)})
+          .threads(threads)
+          .seed(seed)
+          .build());
 
   // The recorder exists only to measure instrumentation overhead: with
   // telemetry on the engine takes the guarded branches, with it off the
@@ -120,7 +118,6 @@ SizeResult run_size_once(int relays, std::uint64_t seed, int threads,
   SizeResult result;
   result.relays = relays;
   result.threads = threads;
-  result.tiered = tiered;
   result.telemetry = telemetry_on;
   std::optional<telemetry::PerfSampler> sampler;
   if (perf) sampler.emplace();
@@ -145,12 +142,11 @@ SizeResult run_size_once(int relays, std::uint64_t seed, int threads,
 /// scheduler hiccup visibly dents one sample, and the fastest run is the
 /// least-interfered measurement of the engine itself.
 SizeResult run_size(int relays, std::uint64_t seed, int threads,
-                    int repeats, bool tiered, bool perf, bool telemetry_on) {
-  SizeResult best =
-      run_size_once(relays, seed, threads, tiered, perf, telemetry_on);
+                    int repeats, bool perf, bool telemetry_on) {
+  SizeResult best = run_size_once(relays, seed, threads, perf, telemetry_on);
   for (int rep = 1; rep < repeats; ++rep) {
     SizeResult next =
-        run_size_once(relays, seed, threads, tiered, perf, telemetry_on);
+        run_size_once(relays, seed, threads, perf, telemetry_on);
     if (next.slots_per_second > best.slots_per_second) best = next;
   }
   return best;
@@ -178,7 +174,6 @@ void write_json(const std::string& path, std::uint64_t seed,
   for (std::size_t i = 0; i < results.size(); ++i) {
     const auto& r = results[i];
     out << "    {\"relays\": " << r.relays << ", \"threads\": " << r.threads
-        << ", \"path_model\": \"" << (r.tiered ? "tiered" : "dense") << "\""
         << ", \"slots_in_period\": " << r.stats.slots_in_period
         << ", \"slots_executed\": " << r.stats.slots_executed
         << ", \"wall_seconds\": " << r.stats.wall_seconds
@@ -248,7 +243,6 @@ int main(int argc, char** argv) {
   std::vector<int> sizes = {500, 2000, 6419};
   std::string out_path = "BENCH_campaign.json";
   int repeats = 3;
-  bool tiered = false;
   bool perf = false;
   bool telemetry_on = false;
   std::vector<int> sweep;  // empty: single thread count from --threads
@@ -270,8 +264,7 @@ int main(int argc, char** argv) {
     if (arg == "--help" || arg == "-h") {
       std::cout << "usage: " << argv[0]
                 << " [--seed N] [--threads N] [--thread-sweep LIST]"
-                   " [--relays N] [--path-model dense|tiered]"
-                   " [--repeat N] [--out FILE]\n"
+                   " [--relays N] [--repeat N] [--out FILE]\n"
                    "       [--perf-counters] [--telemetry]\n"
                    "  --seed         population/campaign seed (default "
                    "20210613)\n"
@@ -284,12 +277,6 @@ int main(int argc, char** argv) {
                    "                 1-thread run (overrides --threads)\n"
                    "  --relays       run a single population size instead "
                    "of 500/2000/6419\n"
-                   "  --path-model   topology path model: dense (n x n "
-                   "matrices, default) or\n"
-                   "                 tiered (implicit O(N) model; same "
-                   "per-pair values for the\n"
-                   "                 flat mesh, required for the 50k-relay "
-                   "row)\n"
                    "  --repeat       samples per size, best kept (default "
                    "3)\n"
                    "  --out          JSON output path (default "
@@ -319,18 +306,6 @@ int main(int argc, char** argv) {
     } else if (const char* v = value("--relays")) {
       sizes = {static_cast<int>(
           bench::parse_int_flag(v, 1, 1000000, "--relays", argv[0]))};
-    } else if (const char* vp = value("--path-model")) {
-      const std::string model = vp;
-      if (model == "dense") {
-        tiered = false;
-      } else if (model == "tiered") {
-        tiered = true;
-      } else {
-        std::cerr << argv[0]
-                  << ": --path-model needs dense or tiered, got '" << model
-                  << "'\n";
-        std::exit(2);
-      }
     } else if (const char* v2 = value("--out")) {
       out_path = v2;
     } else {
@@ -353,8 +328,8 @@ int main(int argc, char** argv) {
   for (const int relays : sizes) {
     const std::size_t size_begin = results.size();
     for (const int threads : thread_counts) {
-      const auto r = run_size(relays, cli.seed, threads, repeats, tiered,
-                              perf, telemetry_on);
+      const auto r =
+          run_size(relays, cli.seed, threads, repeats, perf, telemetry_on);
       results.push_back(r);
       std::cout << "  " << r.relays << " relays @ " << r.threads
                 << " threads: " << metrics::Table::num(r.slots_per_second, 1)

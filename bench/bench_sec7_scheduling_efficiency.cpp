@@ -9,8 +9,7 @@
 // The whole-network layout is the checked-in scenarios/sec7.yaml
 // scenario file (`--scenario FILE` substitutes another);
 // scenario::plan() computes the packing without materializing a
-// topology (6,419 relays would need a ~1 GB path matrix), and the
-// new-relay analysis schedules around the same topology-free population
+// topology, and the new-relay analysis schedules around the same topology-free population
 // (scenario::make_relays) by the same priors.
 #include <algorithm>
 #include <iostream>

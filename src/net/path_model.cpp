@@ -25,14 +25,10 @@ std::unique_ptr<PathModel> DensePathModel::clone() const {
 
 void DensePathModel::resize_hosts(std::size_t count) {
   hosts_ = count;
-  // Geometric growth keeps unreserved host-by-host construction linear in
-  // matrix traffic overall instead of re-laying three n x n matrices out
-  // on every insertion.
+  // Geometric growth keeps host-by-host construction linear in matrix
+  // traffic overall instead of re-laying three n x n matrices out on
+  // every insertion.
   if (count > dim_) grow_matrices(std::max(count, dim_ * 2));
-}
-
-void DensePathModel::reserve_hosts(std::size_t count) {
-  if (count > dim_) grow_matrices(count);
 }
 
 void DensePathModel::grow_matrices(std::size_t dim) {

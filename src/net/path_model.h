@@ -4,20 +4,20 @@
 // like?" — RTT, clean loss, loaded loss — without dictating how the
 // answer is stored. Two implementations:
 //
-//   DensePathModel   three explicit n x n matrices, exactly the storage
-//                    the Topology class always had. Byte-exact for every
-//                    existing experiment, O(N^2) memory: ~987 MiB of peak
-//                    RSS at the paper's 6,419 relays, ~60 GB at a 50k
-//                    "future Tor". Right for Table-1/lab topologies and
-//                    anything whose paths are individually measured.
+//   DensePathModel   three explicit n x n matrices, one entry per
+//                    individually set path. O(N^2) memory, so it serves
+//                    the Table 1 and lab topologies (five hosts or
+//                    fewer) and anything else whose paths are measured
+//                    pair by pair.
 //
 //   TieredPathModel  implicit per-pair resolution the way Shadow models
 //                    its network: each host belongs to a small tier
 //                    (region/cluster), paths are a tier x tier
 //                    characteristic table plus optional deterministic
 //                    per-pair RTT jitter derived from the pair ids and a
-//                    seed. O(N + T^2) memory, so a 50k-relay topology
-//                    costs kilobytes instead of tens of gigabytes.
+//                    seed. O(N + T^2) memory, so every synthetic
+//                    population (the §7 network's 6,419 relays, a 50k
+//                    "future Tor") costs kilobytes of path state.
 //
 // Both models resolve a pair in O(1) and are queried through the same
 // virtual interface; the slot hot path amortizes the virtual dispatch
@@ -55,8 +55,6 @@ class PathModel {
   /// Grows the model to cover hosts [0, count). Called by Topology on
   /// every add_host; models size any per-host state here.
   virtual void resize_hosts(std::size_t count) = 0;
-  /// Presizes for `count` hosts (dense: lays the matrices out once).
-  virtual void reserve_hosts(std::size_t /*count*/) {}
 
   virtual double rtt(HostId a, HostId b) const = 0;
   virtual double loss(HostId a, HostId b) const = 0;
@@ -71,14 +69,13 @@ class PathModel {
                           std::span<PathCharacteristics> out) const;
 };
 
-/// Today's storage: three dense n x n matrices, row-major over an
-/// allocated dimension >= the host count so insertions within a
-/// reservation never re-lay them out.
+/// Explicit storage: three dense n x n matrices, row-major over an
+/// allocated dimension >= the host count that grows geometrically, so
+/// most insertions never re-lay them out.
 class DensePathModel final : public PathModel {
  public:
   std::unique_ptr<PathModel> clone() const override;
   void resize_hosts(std::size_t count) override;
-  void reserve_hosts(std::size_t count) override;
 
   /// Sets symmetric path characteristics (Topology::set_path's storage).
   void set_path(HostId a, HostId b, double rtt_s, double loss_rate,

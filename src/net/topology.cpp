@@ -42,7 +42,6 @@ HostId Topology::add_host(Host host) {
 void Topology::reserve_hosts(std::size_t n) {
   hosts_.reserve(n);
   name_index_.reserve(n);
-  model_->reserve_hosts(n);
 }
 
 void Topology::set_path(HostId a, HostId b, double rtt_s, double loss_rate,

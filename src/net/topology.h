@@ -53,12 +53,9 @@ class Topology {
   /// Adds a host; returns its id.
   HostId add_host(Host host);
 
-  /// Presizes the path model for `n` hosts. With the dense model,
-  /// add_host reallocates the three n x n matrices whenever the host
-  /// count outgrows them, so building a large topology host-by-host
-  /// without reserving is quadratic in memory traffic per insertion;
-  /// callers that know the final host count (scenario materialization)
-  /// should reserve up front.
+  /// Presizes the host list and the name index for `n` hosts, for
+  /// callers that know the final host count (scenario materialization,
+  /// the shadow network). The path model sizes itself on add_host.
   void reserve_hosts(std::size_t n);
 
   /// Sets symmetric path characteristics between two hosts. Requires the

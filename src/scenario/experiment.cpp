@@ -1,6 +1,7 @@
 #include "scenario/experiment.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <utility>
 
 #include "campaign/sink.h"
@@ -8,13 +9,18 @@
 
 namespace flashflow::scenario {
 
-Experiment::Experiment(ScenarioSpec spec)
-    : spec_(std::move(spec)),
-      materialized_(materialize(spec_)),
-      // Resolved once — §4.2 measures the measurers when the spec carries
-      // no capacity overrides — so every period reuses the same estimates
-      // instead of re-running the mesh with each period's seed.
-      measurer_caps_(resolve_team_capacities(spec_, materialized_)) {}
+Experiment::Experiment(ScenarioSpec spec, telemetry::Recorder* telemetry)
+    : spec_(std::move(spec)), telemetry_(telemetry) {
+  const std::uint64_t start = telemetry_ ? telemetry_->now() : 0;
+  materialized_ = materialize(spec_);
+  // Resolved once — §4.2 measures the measurers when the spec carries no
+  // capacity overrides — so every period reuses the same estimates
+  // instead of re-running the mesh with each period's seed.
+  measurer_caps_ = resolve_team_capacities(spec_, materialized_);
+  if (telemetry_)
+    telemetry_->observe_setup_stage(telemetry::Stage::kMaterialize,
+                                    telemetry_->now() - start);
+}
 
 Experiment::Result Experiment::run(campaign::SlotSink* sink,
                                    const PeriodHook& hook) {

@@ -37,7 +37,10 @@ class Experiment {
   /// Validates and materializes the spec (throwing std::invalid_argument
   /// for specs slot-based runs cannot honor, see make_relays) and resolves
   /// the team. spec.periods controls how many periods run() executes.
-  explicit Experiment(ScenarioSpec spec);
+  /// A non-null `telemetry` is attached as by set_telemetry() and also
+  /// times this set-up as the `materialize` stage.
+  explicit Experiment(ScenarioSpec spec,
+                      telemetry::Recorder* telemetry = nullptr);
   Experiment(const Experiment&) = delete;
   Experiment& operator=(const Experiment&) = delete;
 

@@ -383,25 +383,21 @@ MaterializedScenario materialize(const ScenarioSpec& spec) {
     for (const auto& name : names)
       mat.measurer_hosts.push_back(mat.topology.find(name));
   } else {
-    // Measurer hosts first (ids 0..m-1), then one host per relay, all on a
-    // flat low-latency mesh. Under the default dense path model the mesh
-    // is materialized all-pairs, so very large populations are
-    // memory-heavy (three n x n matrices); topology.path_model 'tiered'
-    // resolves the same pairs implicitly in O(hosts) memory, and its
-    // 1-tier default reproduces the dense flat mesh bit-exactly. The
-    // reservation sizes the dense matrices once; without it every
-    // add_host re-lays them out.
-    if (spec.topology.path_model == TopologySpec::PathModelKind::kTiered) {
-      net::TieredPathParams tier_params;
-      tier_params.tiers = spec.topology.tiers;
-      tier_params.tier_rtt_s = spec.topology.tier_rtt_s;
-      tier_params.loss = spec.topology.loss;
-      tier_params.loaded_loss = spec.topology.loaded_loss;
-      tier_params.rtt_jitter = spec.topology.rtt_jitter;
-      tier_params.seed = spec.seed ^ sim::hash_tag("scenario/tiered-path");
-      mat.topology.use_path_model(
-          std::make_unique<net::TieredPathModel>(std::move(tier_params)));
-    }
+    // Measurer hosts first (ids 0..m-1), then one host per relay, on the
+    // implicit tiered model: O(hosts) memory at any population size. Under
+    // the default 'dense' key spec.topology is TopologySpec{} (validate()
+    // enforces it), whose one tier, 0.05 s RTT and 1e-6 / 5e-5 losses
+    // resolve every pair exactly as an all-pairs flat mesh with those
+    // constants would; the key only selects which parameters are legal.
+    net::TieredPathParams tier_params;
+    tier_params.tiers = spec.topology.tiers;
+    tier_params.tier_rtt_s = spec.topology.tier_rtt_s;
+    tier_params.loss = spec.topology.loss;
+    tier_params.loaded_loss = spec.topology.loaded_loss;
+    tier_params.rtt_jitter = spec.topology.rtt_jitter;
+    tier_params.seed = spec.seed ^ sim::hash_tag("scenario/tiered-path");
+    mat.topology.use_path_model(
+        std::make_unique<net::TieredPathModel>(std::move(tier_params)));
     mat.topology.reserve_hosts(spec.team.capacity_bits.size() +
                                mat.relays.size());
     for (std::size_t i = 0; i < spec.team.capacity_bits.size(); ++i) {
@@ -418,10 +414,6 @@ MaterializedScenario materialize(const ScenarioSpec& spec) {
       host.cpu_cores = 2;
       mat.topology.add_host(std::move(host));
     }
-    if (spec.topology.path_model == TopologySpec::PathModelKind::kDense)
-      for (net::HostId a = 0; a < mat.topology.host_count(); ++a)
-        for (net::HostId b = a + 1; b < mat.topology.host_count(); ++b)
-          mat.topology.set_path(a, b, 0.05, 1.0e-6, 5.0e-5);
   }
 
   mat.fingerprints.reserve(mat.relays.size());

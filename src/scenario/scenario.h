@@ -117,22 +117,22 @@ struct TeamSpec {
   friend bool operator==(const TeamSpec&, const TeamSpec&) = default;
 };
 
-/// How the materialized topology answers path queries (net/path_model.h).
-/// Dense is today's three n x n matrices — exact per-pair control,
-/// O(N^2) memory. Tiered is the Shadow-style implicit model — per-host
-/// tiers plus a tier x tier RTT table with optional deterministic
-/// per-pair jitter — and is what makes 50k-relay synthetic campaigns fit
-/// in memory. Tiered currently applies to synthetic populations only
-/// (table1/lab paths are individually measured; shadow already installs
-/// its own region-tiered model).
+/// The synthetic population's path description (net/path_model.h).
+/// Synthetic hosts always resolve their paths implicitly through a
+/// net::TieredPathModel — per-host tiers plus a tier x tier RTT table
+/// with optional deterministic per-pair jitter — so any population size
+/// costs O(hosts) memory. The key selects which parameters a spec may
+/// set: 'dense' is the flat mesh with the default constants below (the
+/// tier fields must stay at their defaults), 'tiered' unlocks them.
+/// Tiered applies to synthetic populations only (table1/lab paths are
+/// individually measured; shadow installs its own region-tiered model).
 struct TopologySpec {
   enum class PathModelKind { kDense, kTiered };
   PathModelKind path_model = PathModelKind::kDense;
   /// Tier count; synthetic hosts default to tier (host id % tiers).
   int tiers = 1;
   /// Upper triangle (incl. diagonal) of the tier x tier RTT table,
-  /// seconds; empty means 0.05 s everywhere (the flat-mesh default, so a
-  /// 1-tier tiered topology reproduces the dense flat mesh bit-exactly).
+  /// seconds; empty means 0.05 s everywhere (the flat-mesh default).
   std::vector<double> tier_rtt_s;
   double loss = 1.0e-6;
   double loaded_loss = 5.0e-5;
@@ -291,10 +291,9 @@ struct PlanResult {
 
 /// Lays the make_relays() population out by the same priors and the same
 /// layout code period 0 of an Experiment uses, without running any
-/// measurement. With team capacity overrides it builds no topology, so it
-/// scales to full-network populations (§7's 6,419 relays) whose dense
-/// path matrices would not fit in memory; without them the team comes
-/// from the iPerf mesh, which materializes the spec.
+/// measurement. With team capacity overrides it builds no topology;
+/// without them the team comes from the iPerf mesh, which materializes
+/// the spec.
 PlanResult plan(const ScenarioSpec& spec);
 
 /// The §3.4 relay speed-test experiment (Fig 5) over a scenario's

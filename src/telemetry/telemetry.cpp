@@ -15,6 +15,7 @@ std::string_view stage_name(Stage stage) {
     case Stage::kReorderWait: return "reorder_wait";
     case Stage::kSinkSerialize: return "sink_serialize";
     case Stage::kRetryRound: return "retry_round";
+    case Stage::kMaterialize: return "materialize";
   }
   return "unknown";
 }

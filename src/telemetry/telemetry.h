@@ -50,7 +50,8 @@ const Clock& monotonic_clock();
 /// Engine phases with stage timers around them. Per-slot stages (dispatch
 /// through reorder_wait) are timed on the worker lane that ran the slot;
 /// layout, retry_round and sink_serialize are timed in the serialized
-/// sections of the campaign loop.
+/// sections of the campaign loop; materialize is timed once per
+/// scenario::Experiment, before any campaign runs.
 enum class Stage : int {
   kLayout = 0,      // scheduler layout (greedy pack / randomized period)
   kDispatch,        // §4.2 allocation + target build, per slot
@@ -60,8 +61,9 @@ enum class Stage : int {
   kReorderWait,     // SlotReorderBuffer::park wait + prefix flush
   kSinkSerialize,   // SlotSink::slot_done, under the reorder lock
   kRetryRound,      // one whole retry round (rounds after the first)
+  kMaterialize,     // Experiment set-up: materialize() + team resolution
 };
-inline constexpr int kStageCount = 8;
+inline constexpr int kStageCount = 9;
 std::string_view stage_name(Stage stage);
 
 /// Per-stage wall micros for one slot, written by the engine while the
@@ -281,6 +283,12 @@ class Recorder {
   /// Convenience stage observation into the serial shard.
   void observe_stage(Stage stage, std::uint64_t micros) {
     serial_.observe(engine_.stage_hist[static_cast<int>(stage)], micros);
+  }
+  /// Stage observation outside any run (between end_run and the next
+  /// begin_run, from the driving thread): goes straight into the
+  /// accumulated totals, since the per-run shards do not exist yet.
+  void observe_setup_stage(Stage stage, std::uint64_t micros) {
+    merged_.observe(engine_.stage_hist[static_cast<int>(stage)], micros);
   }
 
   /// Merges lane shards (in lane-index order) and the serial shard into

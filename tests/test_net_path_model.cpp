@@ -17,10 +17,12 @@
 #include <utility>
 #include <vector>
 
+#include "campaign/campaign.h"
 #include "campaign/sink.h"
+#include "core/params.h"
 #include "net/topology.h"
 #include "net/units.h"
-#include "scenario/experiment.h"
+#include "scenario/scenario.h"
 
 namespace flashflow::net {
 namespace {
@@ -246,28 +248,66 @@ TEST(PathModel, CopiedTopologyOwnsAnIndependentModel) {
 
 TEST(PathModel, ScenarioBytesAreIdenticalUnderDenseAndOneTierTiered) {
   // End-to-end over the campaign engine: the golden 40-relay synthetic
-  // scenario must stream byte-identical CSV whichever model resolves the
-  // flat mesh. This is the equivalence the golden-hash suite relies on
-  // when large scenarios switch to 'topology.path_model: tiered'.
+  // scenario must stream byte-identical CSV whether its flat mesh is
+  // resolved implicitly (what materialize() installs under either
+  // topology.path_model key) or stored all-pairs in a DensePathModel
+  // built here as the reference. The golden-hash suite relies on this
+  // equivalence for every synthetic scenario.
   analysis::PopulationParams pop;
   pop.lognormal_mu = 17.0;
   pop.lognormal_sigma = 1.2;
   pop.max_capacity_bits = 900e6;
-  const auto run = [&](bool tiered) {
+  // One socket per measurer: the offered rate is then the per-socket TCP
+  // bound (RTT and loaded loss), not the allocation, so every path value
+  // reaches the CSV. At the default 160 sockets the allocation caps every
+  // flow and the bytes would not depend on the paths at all.
+  core::Params params;
+  params.sockets = 3;
+  const auto make_spec = [&](bool tiered_key) {
     scenario::ScenarioBuilder builder("seam");
     builder.synthetic(pop, 40, /*prior_fraction=*/0.8)
         .measurer_capacities({mbit(800), mbit(800), mbit(800)})
+        .params(params)
         .seed(20210613);
-    if (tiered) builder.tiered_topology();
-    scenario::Experiment experiment(builder.build());
+    if (tiered_key) builder.tiered_topology();
+    return builder.build();
+  };
+  const scenario::ScenarioSpec spec = make_spec(/*tiered_key=*/false);
+  const scenario::MaterializedScenario mat = scenario::materialize(spec);
+  // The default 'dense' key no longer allocates all-pairs matrices.
+  EXPECT_EQ(dynamic_cast<const DensePathModel*>(&mat.topology.path_model()),
+            nullptr);
+
+  // Reference: the same hosts on an explicit all-pairs flat mesh.
+  Topology dense;
+  ASSERT_NE(dynamic_cast<const DensePathModel*>(&dense.path_model()),
+            nullptr);
+  for (HostId h = 0; h < mat.topology.host_count(); ++h)
+    dense.add_host(mat.topology.host(h));
+  for (HostId a = 0; a < dense.host_count(); ++a)
+    for (HostId b = a + 1; b < dense.host_count(); ++b)
+      dense.set_path(a, b, 0.05, 1.0e-6, 5.0e-5);
+
+  const auto run = [&](const Topology& topo) {
+    campaign::CampaignConfig config;
+    config.params = spec.params;
+    config.measurer_hosts = mat.measurer_hosts;
+    config.measurer_capacity_bits = spec.team.capacity_bits;
+    config.schedule = spec.schedule;
+    config.threads = spec.threads;
+    config.seed = scenario::period_seed(spec, 0);
     std::ostringstream out;
     campaign::CsvSink sink(out);
-    experiment.run(&sink);
+    campaign::CampaignRunner(topo, std::move(config)).run(mat.relays, sink);
     return out.str();
   };
-  const std::string dense_csv = run(false);
+  const std::string dense_csv = run(dense);
   EXPECT_FALSE(dense_csv.empty());
-  EXPECT_EQ(dense_csv, run(true));
+  EXPECT_EQ(dense_csv, run(mat.topology));
+  // The explicit 1-tier key materializes the same paths.
+  EXPECT_EQ(dense_csv,
+            run(scenario::materialize(make_spec(/*tiered_key=*/true))
+                    .topology));
 }
 
 }  // namespace

@@ -79,10 +79,9 @@ TEST(Topology, GrowingPreservesPaths) {
 }
 
 TEST(Topology, ReserveHostsMatchesIncrementalGrowth) {
-  // reserve_hosts presizes the dense matrices so large materializations
-  // are not quadratic per insertion; paths and lookups must behave
-  // identically with and without the reservation, including growth past
-  // the reserved dimension.
+  // reserve_hosts presizes the host list and the name index; paths and
+  // lookups must behave identically with and without the reservation,
+  // including growth past the reserved count.
   Topology reserved;
   reserved.reserve_hosts(3);
   Topology grown;

@@ -199,13 +199,11 @@ TEST(Scenario, SyntheticPlanAgreesWithRun) {
   EXPECT_EQ(plan.slots_used, result.summary.slots_executed);
   EXPECT_EQ(plan.relays, result.summary.relays_measured);
 
-  // The §7 population of scenarios/sec7.yaml (6,419 relays), on the tiered
-  // path model so materializing it stays small. Every prior plan() packs
-  // must be bit-identical to the one the run packs, not merely land on
-  // the same slot count.
-  ScenarioSpec sec7 =
+  // The §7 population of scenarios/sec7.yaml (6,419 relays). Every prior
+  // plan() packs must be bit-identical to the one the run packs, not
+  // merely land on the same slot count.
+  const ScenarioSpec sec7 =
       load_scenario_file(default_scenario_dir() + "/sec7.yaml");
-  sec7.topology.path_model = TopologySpec::PathModelKind::kTiered;
   const Experiment sec7_run(sec7);
   const std::vector<double> packed = run_priors(sec7_run);
   ASSERT_EQ(packed.size(), 6419u);

@@ -151,7 +151,8 @@ TEST(TelemetryDeterminism, GoldenBytesUnchangedWithRecorderAttached) {
 }
 
 TEST(TelemetryDeterminism, GoldenScenarioBytesUnchangedWithRecorder) {
-  // Same check through the scenario layer (Experiment::set_telemetry).
+  // Same check through the scenario layer, with the recorder attached at
+  // construction so it also times the set-up (the materialize stage).
   analysis::PopulationParams pop;
   pop.lognormal_mu = 17.0;
   pop.lognormal_sigma = 1.2;
@@ -170,8 +171,7 @@ TEST(TelemetryDeterminism, GoldenScenarioBytesUnchangedWithRecorder) {
           .build();
 
   telemetry::Recorder recorder;
-  scenario::Experiment experiment(spec);
-  experiment.set_telemetry(&recorder);
+  scenario::Experiment experiment(spec, &recorder);
   std::ostringstream out;
   campaign::CsvSink sink(out);
   experiment.run(&sink);
@@ -189,6 +189,12 @@ TEST(TelemetryDeterminism, GoldenScenarioBytesUnchangedWithRecorder) {
   }
   EXPECT_GT(slots, 0u);
   EXPECT_EQ(relays, 40u);
+  // One set-up, so exactly one materialize observation, next to the
+  // per-slot stages.
+  std::uint64_t materialize_count = 0;
+  for (const auto& [name, hist] : snap.histograms)
+    if (name == "stage/materialize") materialize_count = hist.count;
+  EXPECT_EQ(materialize_count, 1u);
   EXPECT_EQ(iterations, kGoldenScenarioFillIterations);
   EXPECT_EQ(fallbacks, kGoldenScenarioFallbackFreezes);
 }
@@ -285,6 +291,7 @@ TEST(TelemetryDeterminism, MetricsJsonIsStableAcrossThreadCounts) {
   EXPECT_NE(json.find("\"flashflow_metrics\": 1"), std::string::npos);
   EXPECT_NE(json.find("\"campaign/slots\""), std::string::npos);
   EXPECT_NE(json.find("\"stage/solver_solve\""), std::string::npos);
+  EXPECT_NE(json.find("\"stage/materialize\""), std::string::npos);
 }
 
 TEST(PerfCounters, DegradesToInertSamplerWhereUnavailable) {

@@ -249,8 +249,7 @@ scenario::Experiment::Result run_into_dir(
     fanout.attach(&*trace);
   }
 
-  scenario::Experiment experiment(spec);
-  if (recorder) experiment.set_telemetry(recorder);
+  scenario::Experiment experiment(spec, recorder);
   const auto result = experiment.run(
       &fanout, [&](const scenario::Experiment::PeriodRecord& record,
                    const campaign::CampaignResult&) {
