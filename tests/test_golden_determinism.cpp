@@ -42,6 +42,20 @@ namespace {
 constexpr std::uint64_t kCampaignCsvHash = 0xfa6d28d9b29064c3ULL;
 constexpr std::uint64_t kScenarioCsvHash = 0x841c72e6038a41a5ULL;
 
+// Recorded from the ostream-based sinks and the ostringstream/snprintf
+// bandwidth-file writer, before result serialization moved to byte
+// buffers: the other streams `flashflow run` writes.
+constexpr std::uint64_t kScenarioJsonlHash = 0x2ea0753307a44aaaULL;
+constexpr std::uint64_t kScenarioBandwidthFileHash = 0xf58b5a65278f92afULL;
+constexpr std::uint64_t kFaultCsvHash = 0xa92922d64b61f922ULL;
+constexpr std::uint64_t kFaultLedgerHash = 0x73685fa6d357fc6fULL;
+// golden_smoke at params.sockets 3 over two periods. At the default 160
+// sockets the per-socket TCP bound exceeds every allocation, so no path
+// value (RTT, loss) reaches the bytes; at 3 sockets it does, and the
+// second period pins the sinks' reuse across periods.
+constexpr std::uint64_t kFewSocketsCsvHash = 0x5d11203c00f57712ULL;
+constexpr std::uint64_t kFewSocketsBandwidthFileHash = 0xed190e404ae2ef07ULL;
+
 int env_int(const char* name) {
   const char* value = std::getenv(name);
   return value ? std::atoi(value) : 0;
@@ -102,15 +116,60 @@ scenario::ScenarioSpec golden_builder_spec(int threads) {
       .build();
 }
 
-/// The same scenario loaded from the checked-in scenario file (what
-/// `flashflow run scenarios/golden_smoke.yaml` executes), with the
-/// thread/shard knobs applied the way the CLI's flags would.
-scenario::ScenarioSpec scenario_file_spec(int threads) {
+/// A checked-in scenario file (what `flashflow run scenarios/NAME.yaml`
+/// executes), with the thread/shard knobs applied the way the CLI's flags
+/// would.
+scenario::ScenarioSpec scenario_file_spec(int threads,
+                                          const char* name = "golden_smoke") {
   scenario::ScenarioSpec spec = scenario::load_scenario_file(
-      scenario::default_scenario_dir() + "/golden_smoke.yaml");
+      scenario::default_scenario_dir() + "/" + name + ".yaml");
   spec.threads = threads;
   spec.shard_slots = forced_shard();
   return spec;
+}
+
+/// Every stream `flashflow run` writes for a spec: the CSV, JSONL and
+/// fault-ledger sinks fed by one fan-out, plus the last period's
+/// bandwidth file.
+struct RunStreams {
+  std::string csv;
+  std::string jsonl;
+  std::string ledger;
+  std::string bandwidth_file;
+};
+
+RunStreams run_streams(const scenario::ScenarioSpec& spec) {
+  scenario::Experiment experiment(spec);
+  std::ostringstream csv, jsonl, ledger;
+  campaign::CsvSink csv_sink(csv);
+  campaign::JsonlSink jsonl_sink(jsonl);
+  campaign::FaultLedgerSink ledger_sink(ledger);
+  campaign::FanoutSink fanout;
+  fanout.attach(&csv_sink);
+  fanout.attach(&jsonl_sink);
+  fanout.attach(&ledger_sink);
+  const auto result = experiment.run(&fanout);
+  return {csv.str(), jsonl.str(), ledger.str(),
+          experiment.bandwidth_file_text(
+              static_cast<int>(result.periods.size()) - 1,
+              result.final_period)};
+}
+
+scenario::ScenarioSpec few_sockets_spec(int threads) {
+  scenario::ScenarioSpec spec = scenario_file_spec(threads);
+  spec.params.sockets = 3;
+  spec.periods = 2;
+  return spec;
+}
+
+/// Checks one stream against its pin, printing the new hash on mismatch.
+void expect_pinned(const std::string& bytes, std::uint64_t pinned,
+                   const char* what, int threads) {
+  EXPECT_EQ(sim::hash_tag(bytes), pinned)
+      << what << " bytes shifted (threads=" << threads
+      << ", shard=" << forced_shard() << "); new hash 0x" << std::hex
+      << sim::hash_tag(bytes) << " over " << std::dec << bytes.size()
+      << " bytes";
 }
 
 std::string spec_csv(const scenario::ScenarioSpec& spec) {
@@ -173,6 +232,52 @@ TEST(GoldenDeterminism, ScenarioCsvBytesMatchRecordedBaseline) {
       << " bytes. Hot-path changes must be bit-identical.";
   if (forced <= 0) {
     EXPECT_EQ(csv, scenario_csv(/*threads=*/8));
+  }
+}
+
+TEST(GoldenDeterminism, ScenarioJsonlAndBandwidthFileMatchRecordedBaseline) {
+  const int forced = forced_threads();
+  const int threads = forced > 0 ? forced : 1;
+  const RunStreams streams = run_streams(scenario_file_spec(threads));
+  // The CSV stream of the fan-out is the one kScenarioCsvHash pins.
+  expect_pinned(streams.csv, kScenarioCsvHash, "golden_smoke CSV", threads);
+  expect_pinned(streams.jsonl, kScenarioJsonlHash, "golden_smoke JSONL",
+                threads);
+  expect_pinned(streams.bandwidth_file, kScenarioBandwidthFileHash,
+                "golden_smoke bandwidth file", threads);
+  if (forced <= 0) {
+    const RunStreams eight = run_streams(scenario_file_spec(8));
+    EXPECT_EQ(streams.jsonl, eight.jsonl);
+    EXPECT_EQ(streams.bandwidth_file, eight.bandwidth_file);
+  }
+}
+
+TEST(GoldenDeterminism, FaultSmokeCsvAndLedgerMatchRecordedBaseline) {
+  const int forced = forced_threads();
+  const int threads = forced > 0 ? forced : 1;
+  const RunStreams streams =
+      run_streams(scenario_file_spec(threads, "fault_smoke"));
+  expect_pinned(streams.csv, kFaultCsvHash, "fault_smoke CSV", threads);
+  expect_pinned(streams.ledger, kFaultLedgerHash, "fault_smoke ledger",
+                threads);
+  if (forced <= 0) {
+    const RunStreams eight = run_streams(scenario_file_spec(8, "fault_smoke"));
+    EXPECT_EQ(streams.csv, eight.csv);
+    EXPECT_EQ(streams.ledger, eight.ledger);
+  }
+}
+
+TEST(GoldenDeterminism, FewSocketsScenarioMatchesRecordedBaseline) {
+  const int forced = forced_threads();
+  const int threads = forced > 0 ? forced : 1;
+  const RunStreams streams = run_streams(few_sockets_spec(threads));
+  expect_pinned(streams.csv, kFewSocketsCsvHash, "3-socket CSV", threads);
+  expect_pinned(streams.bandwidth_file, kFewSocketsBandwidthFileHash,
+                "3-socket bandwidth file", threads);
+  if (forced <= 0) {
+    const RunStreams eight = run_streams(few_sockets_spec(8));
+    EXPECT_EQ(streams.csv, eight.csv);
+    EXPECT_EQ(streams.bandwidth_file, eight.bandwidth_file);
   }
 }
 
