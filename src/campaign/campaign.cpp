@@ -14,6 +14,16 @@
 
 namespace flashflow::campaign {
 
+namespace {
+
+// Sink micros this thread spent inside SlotSink::slot_done during its
+// current SlotReorderBuffer::park() call. Deliveries run on the thread of
+// the parker that flushes, so subtracting this from the park span leaves
+// reorder_wait exclusive of sink_serialize.
+thread_local std::uint64_t t_park_sink_micros = 0;
+
+}  // namespace
+
 std::vector<double> scheduling_priors(std::span<const CampaignRelay> relays,
                                       const core::Params& params) {
   std::vector<double> priors;
@@ -150,8 +160,9 @@ RunStats CampaignRunner::run(std::span<const CampaignRelay> relays,
   for (const std::size_t s : occupied) work.push_back({s, slot_relays[s]});
 
   std::atomic<bool> cancelled{false};
-  // Mutated only inside the deliver callback, which the buffer serializes
-  // under its own lock; read again only after parallel_for has drained.
+  // Mutated only inside the deliver callback, which the buffer runs on one
+  // flushing lane at a time; read again only after parallel_for has
+  // drained.
   int delivered_count = 0;
   // Everything scheduled so far; grows when retry rounds add slots.
   int scheduled_total = static_cast<int>(occupied.size());
@@ -282,12 +293,15 @@ RunStats CampaignRunner::run(std::span<const CampaignRelay> relays,
     }
 
     // Park the result; the buffer blocks while w is beyond the bounded
-    // window, flushes the ready prefix in slot order, and propagates any
-    // sink exception.
+    // window, flushes the ready prefix in slot order if no other lane is
+    // flushing, and propagates any sink exception. reorder_wait is the
+    // park span minus the sink time of this lane's own deliveries.
     const std::uint64_t park_start = probe ? probe->now() : 0;
+    if (probe) t_park_sink_micros = 0;
     reorder.park(w, std::move(result));
     if (probe) {
-      probe->timing().reorder_micros = probe->now() - park_start;
+      probe->timing().reorder_micros =
+          probe->now() - park_start - t_park_sink_micros;
       probe->finish_slot(n_targets);
     }
   };
@@ -312,13 +326,15 @@ RunStats CampaignRunner::run(std::span<const CampaignRelay> relays,
     // park() into parallel_for's rethrow; a false return from on_progress
     // cancels the remaining slots (and any further retry round).
     SlotReorderBuffer reorder(work.size(), window, [&](SlotResult&& ready) {
-      // Deliveries are serialized under the buffer lock, so the serial
-      // shard is safe to write here.
+      // The buffer runs one flusher at a time (outside its lock, but
+      // handed over under it), so the serial shard is safe to write here.
       const std::uint64_t sink_start = rec ? rec->now() : 0;
       sink.slot_done(ready);
-      if (rec)
-        rec->observe_stage(telemetry::Stage::kSinkSerialize,
-                           rec->now() - sink_start);
+      if (rec) {
+        const std::uint64_t sink_micros = rec->now() - sink_start;
+        rec->observe_stage(telemetry::Stage::kSinkSerialize, sink_micros);
+        t_park_sink_micros += sink_micros;
+      }
       ++delivered_count;
       if (!sink.on_progress(delivered_count, scheduled_total)) {
         cancelled.store(true);

@@ -9,60 +9,87 @@
 #include "metrics/stats.h"
 
 namespace flashflow::campaign {
-namespace {
 
-// Round-trip double formatting (std::to_chars shortest form): parses back
-// exactly, so streamed files are stable and diffable, and allocation-free
-// on the per-estimate hot path.
-std::string fmt(double v) {
+RowBuffer& RowBuffer::num(double v) {
   char buf[32];
   const auto res = std::to_chars(buf, buf + sizeof buf, v);
-  return std::string(buf, res.ptr);
+  bytes_.append(buf, res.ptr);
+  return *this;
 }
 
-}  // namespace
+void RowBuffer::flush(std::ostream& out) {
+  if (bytes_.empty()) return;
+  out.write(bytes_.data(), static_cast<std::streamsize>(bytes_.size()));
+  bytes_.clear();
+}
 
 SlotReorderBuffer::SlotReorderBuffer(std::size_t count, std::size_t window,
                                      Deliver deliver)
     : count_(count),
       window_(std::max<std::size_t>(window, 1)),
       deliver_(std::move(deliver)),
-      ring_(std::min(window_, count_ > 0 ? count_ : std::size_t{1})) {}
+      ring_(std::min(window_, count_ > 0 ? count_ : std::size_t{1})) {
+  // A batch never outgrows the ring it is taken from, so the flusher
+  // never allocates while it holds the lock.
+  batch_.reserve(ring_.size());
+}
 
 bool SlotReorderBuffer::park(std::size_t index, SlotResult&& result) {
   std::unique_lock<std::mutex> lock(mutex_);
   window_open_.wait(lock,
-                    [&] { return aborted_ || index < next_ + window_; });
+                    [&] { return aborted_ || index < delivered_ + window_; });
   if (aborted_) return false;
   ring_[index % ring_.size()] = std::move(result);
-  if (index != next_) return true;  // a later parker flushes this entry
+  // Any other entry is flushed by the parker of next_; while a flush is in
+  // flight, its flusher picks this entry up when its batch is done.
+  if (index != next_ || flushing_) return true;
+  flushing_ = true;
+  flush(lock);
+  return true;
+}
 
-  // Flush the contiguous ready prefix. The deliver callback runs under
-  // the buffer lock: deliveries are serialized and in order no matter how
-  // many workers are parking concurrently.
-  bool advanced = false;
-  while (!aborted_ && next_ < count_) {
-    std::optional<SlotResult>& slot = ring_[next_ % ring_.size()];
-    if (!slot.has_value()) break;
-    // Consume the entry before invoking the callback: if it throws, the
-    // slot must not be re-delivered by the next worker entering the loop.
-    SlotResult ready = std::move(*slot);
-    slot.reset();
-    ++next_;
-    advanced = true;
-    bool keep_going = false;
+void SlotReorderBuffer::flush(std::unique_lock<std::mutex>& lock) {
+  while (!aborted_) {
+    // Consume the ready prefix under the lock: once taken, an entry is
+    // never seen again by a parker, so a throwing deliver cannot lead to
+    // a second delivery of it.
+    while (next_ < count_) {
+      std::optional<SlotResult>& slot = ring_[next_ % ring_.size()];
+      if (!slot.has_value()) break;
+      batch_.push_back(std::move(*slot));
+      slot.reset();
+      ++next_;
+    }
+    if (batch_.empty()) break;
+
+    lock.unlock();
+    std::size_t done = 0;
+    bool keep_going = true;
     try {
-      keep_going = deliver_(std::move(ready));
-      ++delivered_;
+      for (SlotResult& ready : batch_) {
+        if (aborted_) break;  // abort() from another lane mid-batch
+        keep_going = deliver_(std::move(ready));
+        ++done;
+        if (!keep_going) break;
+      }
     } catch (...) {
+      batch_.clear();
+      lock.lock();
+      delivered_ += done;
       aborted_ = true;
+      flushing_ = false;
       window_open_.notify_all();
       throw;
     }
+    // Release the delivered (and any dropped) results before the window
+    // advances, so held results never exceed the window.
+    batch_.clear();
+    lock.lock();
+    delivered_ += done;
     if (!keep_going) aborted_ = true;
+    window_open_.notify_all();
   }
-  if (advanced || aborted_) window_open_.notify_all();
-  return true;
+  flushing_ = false;
 }
 
 void SlotReorderBuffer::abort() {
@@ -137,10 +164,10 @@ void CsvSink::begin(const RunPlan& plan) {
   ++period_;
   faults_ = plan.faults_enabled;
   if (!header_written_) {
-    out_ << "period,relay,slot,estimate_bits,ground_truth_bits,"
-            "relative_error,verification_failed";
-    if (faults_) out_ << ",quality,attempt,slot_failed,quarantined";
-    out_ << '\n';
+    row_.lit("period,relay,slot,estimate_bits,ground_truth_bits,"
+             "relative_error,verification_failed");
+    if (faults_) row_.lit(",quality,attempt,slot_failed,quarantined");
+    row_.lit('\n').flush(out_);
     header_written_ = true;
   }
 }
@@ -148,15 +175,17 @@ void CsvSink::begin(const RunPlan& plan) {
 void CsvSink::slot_done(const SlotResult& slot) {
   for (std::size_t i = 0; i < slot.relay_indices.size(); ++i) {
     const RelayEstimate& est = slot.estimates[i];
-    out_ << period_ << ',' << slot.relay_indices[i] << ',' << est.slot << ','
-         << fmt(est.estimate_bits) << ',' << fmt(est.ground_truth_bits) << ','
-         << fmt(est.relative_error) << ','
-         << (est.verification_failed ? 1 : 0);
+    row_.num(period_).lit(',').num(slot.relay_indices[i]).lit(',')
+        .num(est.slot).lit(',').num(est.estimate_bits).lit(',')
+        .num(est.ground_truth_bits).lit(',').num(est.relative_error)
+        .lit(',').lit(est.verification_failed ? '1' : '0');
     if (faults_)
-      out_ << ',' << fmt(est.quality) << ',' << est.attempt << ','
-           << (est.slot_failed ? 1 : 0) << ',' << (est.quarantined ? 1 : 0);
-    out_ << '\n';
+      row_.lit(',').num(est.quality).lit(',').num(est.attempt).lit(',')
+          .lit(est.slot_failed ? '1' : '0').lit(',')
+          .lit(est.quarantined ? '1' : '0');
+    row_.lit('\n');
   }
+  row_.flush(out_);
 }
 
 void JsonlSink::begin(const RunPlan& plan) {
@@ -167,26 +196,29 @@ void JsonlSink::begin(const RunPlan& plan) {
 void JsonlSink::slot_done(const SlotResult& slot) {
   for (std::size_t i = 0; i < slot.relay_indices.size(); ++i) {
     const RelayEstimate& est = slot.estimates[i];
-    out_ << "{\"period\":" << period_
-         << ",\"relay\":" << slot.relay_indices[i] << ",\"slot\":" << est.slot
-         << ",\"estimate_bits\":" << fmt(est.estimate_bits)
-         << ",\"ground_truth_bits\":" << fmt(est.ground_truth_bits)
-         << ",\"relative_error\":" << fmt(est.relative_error)
-         << ",\"verification_failed\":"
-         << (est.verification_failed ? "true" : "false");
+    row_.lit("{\"period\":").num(period_)
+        .lit(",\"relay\":").num(slot.relay_indices[i])
+        .lit(",\"slot\":").num(est.slot)
+        .lit(",\"estimate_bits\":").num(est.estimate_bits)
+        .lit(",\"ground_truth_bits\":").num(est.ground_truth_bits)
+        .lit(",\"relative_error\":").num(est.relative_error)
+        .lit(",\"verification_failed\":")
+        .lit(est.verification_failed ? "true" : "false");
     if (faults_)
-      out_ << ",\"quality\":" << fmt(est.quality)
-           << ",\"attempt\":" << est.attempt << ",\"slot_failed\":"
-           << (est.slot_failed ? "true" : "false") << ",\"quarantined\":"
-           << (est.quarantined ? "true" : "false");
-    out_ << "}\n";
+      row_.lit(",\"quality\":").num(est.quality)
+          .lit(",\"attempt\":").num(est.attempt)
+          .lit(",\"slot_failed\":").lit(est.slot_failed ? "true" : "false")
+          .lit(",\"quarantined\":").lit(est.quarantined ? "true" : "false");
+    row_.lit("}\n");
   }
+  row_.flush(out_);
 }
 
 void FaultLedgerSink::begin(const RunPlan&) {
   ++period_;
   if (!header_written_) {
-    out_ << "period,relay,slot,attempt,failed,quarantined,quality\n";
+    row_.lit("period,relay,slot,attempt,failed,quarantined,quality\n")
+        .flush(out_);
     header_written_ = true;
   }
 }
@@ -197,10 +229,13 @@ void FaultLedgerSink::slot_done(const SlotResult& slot) {
     if (est.attempt == 0 && !est.slot_failed && !est.quarantined &&
         est.quality >= 1.0)
       continue;
-    out_ << period_ << ',' << slot.relay_indices[i] << ',' << est.slot << ','
-         << est.attempt << ',' << (est.slot_failed ? 1 : 0) << ','
-         << (est.quarantined ? 1 : 0) << ',' << fmt(est.quality) << '\n';
+    row_.num(period_).lit(',').num(slot.relay_indices[i]).lit(',')
+        .num(est.slot).lit(',').num(est.attempt).lit(',')
+        .lit(est.slot_failed ? '1' : '0').lit(',')
+        .lit(est.quarantined ? '1' : '0').lit(',').num(est.quality)
+        .lit('\n');
   }
+  row_.flush(out_);
 }
 
 }  // namespace flashflow::campaign

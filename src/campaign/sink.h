@@ -7,22 +7,29 @@
 //   - AggregatingSink rebuilds the batch CampaignResult in memory (the
 //     batch run() overload is implemented on top of it),
 //   - CsvSink / JsonlSink stream one row/object per relay estimate to an
-//     ostream as the slots finish,
+//     ostream as the slots finish (each slot's rows are formatted into a
+//     reused RowBuffer and written with one ostream::write),
 //   - FanoutSink hands one stream to several sinks (files, an aggregate,
 //     a cancellation hook); any of them can cancel the run.
 //
 // SlotReorderBuffer is the delivery mechanism behind that ordering
-// guarantee: workers park completed slots in arbitrary order, the buffer
-// flushes the contiguous prefix in slot order, and a bounded window keeps
-// a straggling early slot from piling the whole period up in memory.
+// guarantee: workers park completed slots in arbitrary order, one worker
+// at a time flushes the contiguous prefix in slot order (outside the
+// buffer lock), and a bounded window keeps a straggling early slot from
+// piling the whole period up in memory.
 #pragma once
 
+#include <atomic>
+#include <charconv>
+#include <concepts>
 #include <condition_variable>
 #include <cstddef>
 #include <functional>
 #include <iosfwd>
 #include <mutex>
 #include <optional>
+#include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -34,20 +41,28 @@ namespace flashflow::campaign {
 /// bounded buffering.
 ///
 /// Workers complete indices in arbitrary order, but sinks must observe
-/// increasing order. Completed results park here; whichever worker parks
-/// the next undelivered index flushes the contiguous ready prefix through
-/// the deliver callback (serialized under the buffer lock, so sinks never
-/// see concurrent calls). At most `window` undelivered results are held:
-/// a worker that finishes an index too far ahead blocks until the window
-/// advances, so memory stays O(window · result size) instead of
-/// O(period · result size) — which matters when record_outcomes attaches
-/// four per-second series to every slot of a 6,419-relay period.
+/// increasing order. Completed results park here; a worker that parks the
+/// next undelivered index while no other worker is flushing becomes the
+/// flusher. It moves the contiguous ready prefix out of the ring under the
+/// buffer lock, runs the deliver callback on that batch with the lock
+/// released, and repeats until no ready prefix is left. Only one worker
+/// flushes at a time (a flag set and cleared under the lock), so sinks
+/// never see concurrent calls and deliveries stay in index order; parkers
+/// hold the lock only for the wait and the hand-off, never for a sink.
+///
+/// At most `window` undelivered results are held, the in-flight batch
+/// included: the window advances only when a batch has been delivered,
+/// so a worker that finishes an index too far ahead blocks until then and
+/// memory stays O(window · result size) instead of O(period · result
+/// size) — which matters when record_outcomes attaches four per-second
+/// series to every slot of a 6,419-relay period.
 ///
 /// Deadlock freedom: this relies on each producer lane handing over its
 /// indices in strictly increasing order (ThreadPool::parallel_for
-/// guarantees it). The lane owning the next undelivered index is then
-/// never blocked — that index is always inside the window — and every
-/// delivery advances the window and wakes the waiters.
+/// guarantees it). The flusher never waits on another lane, every batch
+/// it delivers advances the window and wakes the waiters, and when no
+/// batch is in flight the lane owning the next undelivered index is
+/// never blocked — that index is always inside the window.
 class SlotReorderBuffer {
  public:
   /// Called in increasing index order, exactly once per delivered index.
@@ -60,17 +75,21 @@ class SlotReorderBuffer {
   SlotReorderBuffer(std::size_t count, std::size_t window, Deliver deliver);
 
   /// Parks the result for `index`, blocking while the index is beyond the
-  /// bounded window, then flushes the ready prefix. If the deliver
-  /// callback throws, the buffer aborts and the exception propagates out
-  /// of the flushing park() call. Returns false if the buffer was already
-  /// aborted (the result is dropped).
+  /// bounded window, then flushes the ready prefix unless another worker
+  /// is already flushing (that worker delivers it). If the deliver
+  /// callback throws, the buffer aborts, the rest of the batch is dropped
+  /// and the exception propagates out of the flushing park() call.
+  /// Returns false if the buffer was already aborted (the result is
+  /// dropped).
   bool park(std::size_t index, SlotResult&& result);
 
-  /// Drops undelivered results and unblocks parked workers; subsequent
-  /// park() calls return false immediately.
+  /// Drops undelivered results (an in-flight batch stops before its next
+  /// delivery) and unblocks parked workers; subsequent park() calls
+  /// return false immediately.
   void abort();
 
-  /// Results delivered so far (== count after an uncancelled run).
+  /// Results delivered so far (== count after an uncancelled run). A
+  /// batch in flight is counted when it finishes.
   std::size_t delivered() const;
 
   /// True once cancelled by abort(), a deliver exception, or a deliver
@@ -78,6 +97,12 @@ class SlotReorderBuffer {
   bool aborted() const;
 
  private:
+  /// Flusher loop: takes the ready prefix under the lock, delivers it
+  /// with the lock released, until the prefix is empty or the buffer
+  /// aborts. Called with `lock` held and flushing_ set; returns with
+  /// `lock` held and flushing_ cleared.
+  void flush(std::unique_lock<std::mutex>& lock);
+
   const std::size_t count_;
   const std::size_t window_;
   Deliver deliver_;
@@ -85,9 +110,51 @@ class SlotReorderBuffer {
   std::condition_variable window_open_;
   /// Ring of the window's parked results, indexed by index % window_.
   std::vector<std::optional<SlotResult>> ring_;
-  std::size_t next_ = 0;  // next index to deliver
-  std::size_t delivered_ = 0;
-  bool aborted_ = false;
+  /// The flusher's batch, reused across batches; touched only while
+  /// flushing_ is held.
+  std::vector<SlotResult> batch_;
+  std::size_t next_ = 0;       // next index to move out of the ring
+  std::size_t delivered_ = 0;  // == the window's base: deliveries are in order
+  bool flushing_ = false;
+  /// Atomic so the flusher can stop mid-batch without taking the lock.
+  std::atomic<bool> aborted_{false};
+};
+
+/// Byte-buffer row formatting shared by the streaming sinks (CsvSink,
+/// JsonlSink, FaultLedgerSink, telemetry::TraceJsonlSink). A sink appends
+/// one slot's rows to its reused buffer and hands them to the ostream
+/// with one write, so the per-estimate path neither allocates (once the
+/// buffer has grown to a slot's size) nor runs ostream insertion.
+/// Integers print as `ostream << v` prints them in the default locale and
+/// doubles in std::to_chars' shortest round-trip form, so a row is the
+/// same bytes as ostream insertion of the same fields
+/// (tests/test_campaign_sinks.cpp holds the sinks to ostream oracles).
+class RowBuffer {
+ public:
+  RowBuffer& lit(std::string_view bytes) {
+    bytes_.append(bytes);
+    return *this;
+  }
+  RowBuffer& lit(char c) {
+    bytes_.push_back(c);
+    return *this;
+  }
+  template <std::integral T>
+  RowBuffer& num(T v) {
+    char buf[24];
+    const auto res = std::to_chars(buf, buf + sizeof buf, v);
+    bytes_.append(buf, res.ptr);
+    return *this;
+  }
+  /// Shortest round-trip form: parses back exactly.
+  RowBuffer& num(double v);
+
+  /// Writes the buffered bytes to `out` in one write and empties the
+  /// buffer, keeping its capacity.
+  void flush(std::ostream& out);
+
+ private:
+  std::string bytes_;
 };
 
 /// Rebuilds the in-memory CampaignResult from the stream: per-relay
@@ -123,6 +190,7 @@ class CsvSink : public SlotSink {
 
  private:
   std::ostream& out_;
+  RowBuffer row_;
   bool header_written_ = false;
   bool faults_ = false;
   int period_ = -1;
@@ -139,6 +207,7 @@ class JsonlSink : public SlotSink {
 
  private:
   std::ostream& out_;
+  RowBuffer row_;
   bool faults_ = false;
   int period_ = -1;
 };
@@ -156,6 +225,7 @@ class FaultLedgerSink : public SlotSink {
 
  private:
   std::ostream& out_;
+  RowBuffer row_;
   bool header_written_ = false;
   int period_ = -1;
 };

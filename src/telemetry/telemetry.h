@@ -49,17 +49,21 @@ const Clock& monotonic_clock();
 
 /// Engine phases with stage timers around them. Per-slot stages (dispatch
 /// through reorder_wait) are timed on the worker lane that ran the slot;
-/// layout, retry_round and sink_serialize are timed in the serialized
-/// sections of the campaign loop; materialize is timed once per
-/// scenario::Experiment, before any campaign runs.
+/// layout and retry_round are timed in the serialized sections of the
+/// campaign loop and sink_serialize around each delivery (one flushing
+/// lane at a time); materialize is timed once per scenario::Experiment,
+/// before any campaign runs. reorder_wait and sink_serialize are
+/// exclusive: a lane that flushes inside its park() books the sink time
+/// to sink_serialize only.
 enum class Stage : int {
   kLayout = 0,      // scheduler layout (greedy pack / randomized period)
   kDispatch,        // §4.2 allocation + target build, per slot
   kFillPaths,       // PathModel::fill_paths bulk resolution, per slot
   kSolverPrepare,   // FairShareSolver::prepare (incl. crash re-prepares)
   kSolverSolve,     // the per-second segment loop (solve_prepared dominated)
-  kReorderWait,     // SlotReorderBuffer::park wait + prefix flush
-  kSinkSerialize,   // SlotSink::slot_done, under the reorder lock
+  kReorderWait,     // SlotReorderBuffer::park: window wait + hand-off
+                    // (and flush bookkeeping), minus its sink time
+  kSinkSerialize,   // SlotSink::slot_done on the flushing lane
   kRetryRound,      // one whole retry round (rounds after the first)
   kMaterialize,     // Experiment set-up: materialize() + team resolution
 };
@@ -256,7 +260,8 @@ class SlotProbe {
 /// Not thread-safe as a whole — the engine contract is: begin_run() and
 /// end_run() from the driving thread; each lane(i) shard written by
 /// exactly one worker; serial() written only from serialized sections
-/// (layout/retry between rounds, sink delivery under the reorder lock).
+/// (layout/retry between rounds, sink delivery by the reorder buffer's
+/// single flusher).
 class Recorder {
  public:
   /// `clock` is borrowed and must outlive the recorder; null selects the

@@ -1,22 +1,6 @@
 #include "telemetry/trace.h"
 
-#include <charconv>
-#include <ostream>
-#include <string>
-
 namespace flashflow::telemetry {
-
-namespace {
-
-// Same round-trip double formatting as campaign/sink.cpp: shortest
-// std::to_chars form, so trace files are stable and diffable.
-std::string fmt(double v) {
-  char buf[32];
-  const auto res = std::to_chars(buf, buf + sizeof buf, v);
-  return std::string(buf, res.ptr);
-}
-
-}  // namespace
 
 void TraceJsonlSink::begin(const campaign::RunPlan& plan) {
   (void)plan;
@@ -29,19 +13,23 @@ void TraceJsonlSink::slot_done(const campaign::SlotResult& slot) {
     const campaign::RelayEstimate& est = slot.estimates[i];
     // Field order is the format contract: everything before "lane" is
     // deterministic (tests cut each line at `,"lane":`).
-    out_ << "{\"period\":" << period_ << ",\"slot\":" << slot.slot
-         << ",\"relay\":" << slot.relay_indices[i]
-         << ",\"segments\":" << trace.segments
-         << ",\"attempt\":" << est.attempt
-         << ",\"failed\":" << (est.slot_failed ? "true" : "false")
-         << ",\"quarantined\":" << (est.quarantined ? "true" : "false")
-         << ",\"quality\":" << fmt(est.quality)
-         << ",\"lane\":" << trace.lane << ",\"shard\":" << trace.shard
-         << ",\"dispatch_us\":" << trace.timing.dispatch_micros
-         << ",\"fill_paths_us\":" << trace.timing.fill_paths_micros
-         << ",\"prepare_us\":" << trace.timing.prepare_micros
-         << ",\"solve_us\":" << trace.timing.solve_micros << "}\n";
+    row_.lit("{\"period\":").num(period_)
+        .lit(",\"slot\":").num(slot.slot)
+        .lit(",\"relay\":").num(slot.relay_indices[i])
+        .lit(",\"segments\":").num(trace.segments)
+        .lit(",\"attempt\":").num(est.attempt)
+        .lit(",\"failed\":").lit(est.slot_failed ? "true" : "false")
+        .lit(",\"quarantined\":").lit(est.quarantined ? "true" : "false")
+        .lit(",\"quality\":").num(est.quality)
+        .lit(",\"lane\":").num(trace.lane)
+        .lit(",\"shard\":").num(trace.shard)
+        .lit(",\"dispatch_us\":").num(trace.timing.dispatch_micros)
+        .lit(",\"fill_paths_us\":").num(trace.timing.fill_paths_micros)
+        .lit(",\"prepare_us\":").num(trace.timing.prepare_micros)
+        .lit(",\"solve_us\":").num(trace.timing.solve_micros)
+        .lit("}\n");
   }
+  row_.flush(out_);
 }
 
 }  // namespace flashflow::telemetry

@@ -36,6 +36,7 @@ class TraceJsonlSink : public campaign::SlotSink {
 
  private:
   std::ostream& out_;
+  campaign::RowBuffer row_;
   int period_ = -1;
 };
 

@@ -1,7 +1,8 @@
 #include "tor/bandwidth_file.h"
 
+#include <algorithm>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <sstream>
 #include <stdexcept>
 
@@ -25,25 +26,39 @@ std::pair<std::string, std::string> split_kv(const std::string& token) {
 
 std::string serialize_bandwidth_file(const BandwidthFileHeader& header,
                                      const BandwidthFile& entries) {
-  std::ostringstream out;
-  out << header.timestamp << "\n";
-  out << "version=" << header.version << "\n";
-  out << "software=" << header.software << "\n";
-  out << "software_version=" << header.software_version << "\n";
-  out << "=====\n";  // header terminator (spec: "=====")
+  // Built by appending into one string: integers through std::to_chars
+  // print as ostream insertion does, and to_chars(fixed, 3) is the
+  // correctly rounded "%.3f" (tests/test_tor_bandwidth_file.cpp checks
+  // it against snprintf, exact ties included).
+  std::string out;
+  char buf[32];
+  const auto append_num = [&](auto v, auto... format) {
+    const auto res = std::to_chars(buf, buf + sizeof buf, v, format...);
+    out.append(buf, res.ptr);
+  };
+  append_num(header.timestamp);
+  out += "\nversion=";
+  out += header.version;
+  out += "\nsoftware=";
+  out += header.software;
+  out += "\nsoftware_version=";
+  out += header.software_version;
+  out += "\n=====\n";  // header terminator (spec: "=====")
+  out.reserve(out.size() + entries.size() * 96);
   for (const auto& e : entries) {
     const auto bw_kb = static_cast<long long>(
         std::max(1.0, std::round(e.weight / kBitsPerKByte)));
-    out << "node_id=$" << e.fingerprint << " bw=" << bw_kb;
+    out += "node_id=$";
+    out += e.fingerprint;
+    out += " bw=";
+    append_num(bw_kb);
     if (e.capacity_bits > 0.0) {
-      char buf[32];
-      std::snprintf(buf, sizeof buf, "%.3f",
-                    net::to_mbit(e.capacity_bits));
-      out << " flashflow_capacity_mbits=" << buf;
+      out += " flashflow_capacity_mbits=";
+      append_num(net::to_mbit(e.capacity_bits), std::chars_format::fixed, 3);
     }
-    out << "\n";
+    out += '\n';
   }
-  return out.str();
+  return out;
 }
 
 ParsedBandwidthFile parse_bandwidth_file(const std::string& text) {

@@ -8,7 +8,10 @@
 // scenarios to FNV-1a hashes recorded from the pre-workspace-refactor
 // implementation, so any future hot-path change that silently shifts
 // results (an extra RNG draw, a reordered flow, a float reassociation)
-// fails loudly here rather than drifting the paper reproductions.
+// fails loudly here rather than drifting the paper reproductions. Further
+// pins cover the other streams `flashflow run` writes (JSONL, the fault
+// ledger, the bandwidth file) and a 3-socket run whose bytes depend on
+// the path model.
 //
 // If a change *intends* to alter results, re-record the constants from a
 // trusted build (the failure message prints the new hash) and justify the

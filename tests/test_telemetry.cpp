@@ -8,6 +8,7 @@
 // the syscall is denied (most CI containers) instead of failing.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <sstream>
 #include <string>
@@ -197,6 +198,61 @@ TEST(TelemetryDeterminism, GoldenScenarioBytesUnchangedWithRecorder) {
   EXPECT_EQ(materialize_count, 1u);
   EXPECT_EQ(iterations, kGoldenScenarioFillIterations);
   EXPECT_EQ(fallbacks, kGoldenScenarioFallbackFreezes);
+}
+
+/// Time stands still except where a test moves it.
+class FakeClock : public telemetry::Clock {
+ public:
+  std::uint64_t now_micros() const override { return now_.load(); }
+  void advance(std::uint64_t micros) { now_ += micros; }
+
+ private:
+  std::atomic<std::uint64_t> now_{0};
+};
+
+/// A sink that "takes" a fixed time per slot on the fake clock.
+class SlowSink : public campaign::SlotSink {
+ public:
+  SlowSink(FakeClock& clock, std::uint64_t micros)
+      : clock_(clock), micros_(micros) {}
+  void slot_done(const campaign::SlotResult&) override {
+    clock_.advance(micros_);
+  }
+
+ private:
+  FakeClock& clock_;
+  std::uint64_t micros_;
+};
+
+TEST(TelemetryStages, ReorderWaitExcludesTheFlushingLanesSinkTime) {
+  // On one thread every park flushes its own slot, so the only clock
+  // movement inside park() is the sink's. The stage timers partition
+  // it: all of it is sink_serialize, none of it reorder_wait.
+  constexpr std::uint64_t kSinkMicros = 1000;
+  FakeClock clock;
+  telemetry::Recorder recorder(&clock);
+  const auto topo = net::make_table1_hosts();
+  campaign::CampaignConfig config = golden_config(topo, /*threads=*/1,
+                                                  /*shard=*/0);
+  config.telemetry = &recorder;
+  SlowSink sink(clock, kSinkMicros);
+  const campaign::RunStats stats =
+      campaign::CampaignRunner(topo, config).run(golden_relays(topo), sink);
+  ASSERT_GT(stats.slots_executed, 0);
+
+  const auto hist = [&](std::string_view name) {
+    for (const auto& [n, h] : recorder.snapshot().histograms)
+      if (n == name) return h;
+    ADD_FAILURE() << "missing histogram " << name;
+    return telemetry::HistogramData{};
+  };
+  const auto slots = static_cast<std::uint64_t>(stats.slots_executed);
+  const telemetry::HistogramData sink_hist = hist("stage/sink_serialize");
+  const telemetry::HistogramData wait_hist = hist("stage/reorder_wait");
+  EXPECT_EQ(sink_hist.count, slots);
+  EXPECT_EQ(sink_hist.sum, slots * kSinkMicros);
+  EXPECT_EQ(wait_hist.count, slots);
+  EXPECT_EQ(wait_hist.sum, 0u);
 }
 
 TEST(TelemetryDeterminism, MergedTotalsIdenticalAcrossThreadsAndShards) {

@@ -7,8 +7,10 @@
 // indices in strictly increasing order (SlotReorderBuffer's deadlock
 // freedom depends on the latter). The reorder-buffer tests drive
 // adversarial completion orders — including workers parked beyond the
-// bounded window — and the cancellation/exception paths the campaign
-// runner relies on.
+// bounded window — the cancellation/exception paths the campaign runner
+// relies on, and the out-of-lock flush: one lane delivers a batch while
+// others keep parking, a throw or cancel mid-batch drops the rest of it,
+// and the window counts the in-flight batch.
 #include "campaign/thread_pool.h"
 
 #include <gtest/gtest.h>
@@ -16,6 +18,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <future>
 #include <mutex>
 #include <numeric>
@@ -268,6 +271,124 @@ TEST(SlotReorderBuffer, WorkerThrowBeforeParkMustAbortOrPeersDeadlock) {
       std::runtime_error);
   EXPECT_TRUE(buffer.aborted());
   EXPECT_EQ(buffer.delivered(), 0u);  // slot 0 died, nothing flushed
+}
+
+/// A one-shot gate a deliver callback can hold a flush open on.
+class Gate {
+ public:
+  void open() {
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      open_ = true;
+    }
+    cv_.notify_all();
+  }
+  void wait() {
+    std::unique_lock<std::mutex> lock(mutex_);
+    cv_.wait(lock, [&] { return open_; });
+  }
+
+ private:
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  bool open_ = false;
+};
+
+TEST(SlotReorderBuffer, DeliverThrowingMidBatchDropsTheRestAndWakesParkers) {
+  std::vector<int> delivered;
+  SlotReorderBuffer buffer(16, /*window=*/8, [&](SlotResult&& slot) {
+    if (slot.slot == 2) throw std::runtime_error("sink failed");
+    delivered.push_back(slot.slot);
+    return true;
+  });
+  for (std::size_t i = 1; i <= 4; ++i)
+    EXPECT_TRUE(buffer.park(i, make_result(i)));
+  // Index 9 is beyond [0, 8): this parker blocks until the throw wakes it.
+  auto blocked = std::async(std::launch::async, [&] {
+    return buffer.park(9, make_result(9));
+  });
+  EXPECT_EQ(blocked.wait_for(std::chrono::milliseconds(50)),
+            std::future_status::timeout);
+  // Slot 0 completes the prefix 0..4; the flush delivers 0 and 1, throws
+  // on 2, and drops 3 and 4.
+  EXPECT_THROW(buffer.park(0, make_result(0)), std::runtime_error);
+  EXPECT_FALSE(blocked.get());
+  EXPECT_TRUE(buffer.aborted());
+  EXPECT_EQ(buffer.delivered(), 2u);
+  EXPECT_FALSE(buffer.park(5, make_result(5)));
+  EXPECT_EQ(delivered, (std::vector<int>{0, 1}));  // nothing twice
+}
+
+TEST(SlotReorderBuffer, DeliverReturningFalseMidBatchDropsTheRest) {
+  std::vector<int> delivered;
+  SlotReorderBuffer buffer(8, /*window=*/8, [&](SlotResult&& slot) {
+    delivered.push_back(slot.slot);
+    return slot.slot != 2;
+  });
+  for (std::size_t i = 1; i <= 4; ++i)
+    EXPECT_TRUE(buffer.park(i, make_result(i)));
+  EXPECT_TRUE(buffer.park(0, make_result(0)));
+  EXPECT_TRUE(buffer.aborted());
+  // The cancelling delivery counts; 3 and 4 were dropped.
+  EXPECT_EQ(buffer.delivered(), 3u);
+  EXPECT_EQ(delivered, (std::vector<int>{0, 1, 2}));
+  EXPECT_FALSE(buffer.park(5, make_result(5)));
+}
+
+TEST(SlotReorderBuffer, ParkOfNextWhileAnotherLaneFlushesIsDelivered) {
+  // Lane A flushes slot 0 and is held inside the sink; slot 0 has left
+  // the ring, so slot 1 is now the next index. Parking it must not start
+  // a second flusher (deliveries stay serialized) and must not be lost:
+  // A picks it up once its batch is done.
+  Gate in_sink, release;
+  std::vector<int> delivered;
+  SlotReorderBuffer buffer(2, /*window=*/2, [&](SlotResult&& slot) {
+    delivered.push_back(slot.slot);
+    if (slot.slot == 0) {
+      in_sink.open();
+      release.wait();
+    }
+    return true;
+  });
+  std::thread flusher([&] { EXPECT_TRUE(buffer.park(0, make_result(0))); });
+  in_sink.wait();
+  EXPECT_TRUE(buffer.park(1, make_result(1)));  // returns without flushing
+  release.open();
+  flusher.join();
+  EXPECT_EQ(delivered, (std::vector<int>{0, 1}));
+  EXPECT_EQ(buffer.delivered(), 2u);
+  EXPECT_FALSE(buffer.aborted());
+}
+
+TEST(SlotReorderBuffer, InFlightBatchCountsAgainstTheWindow) {
+  // The header's bound: at most `window` undelivered results are held,
+  // the batch being delivered included. With slot 0 held in the sink and
+  // slot 1 parked, a window of 2 is full, so slot 2 must wait for the
+  // batch to finish rather than grow the buffer to 2 x window.
+  Gate in_sink, release;
+  std::vector<int> delivered;
+  SlotReorderBuffer buffer(4, /*window=*/2, [&](SlotResult&& slot) {
+    delivered.push_back(slot.slot);
+    if (slot.slot == 0) {
+      in_sink.open();
+      release.wait();
+    }
+    return true;
+  });
+  std::thread flusher([&] { EXPECT_TRUE(buffer.park(0, make_result(0))); });
+  in_sink.wait();
+  EXPECT_TRUE(buffer.park(1, make_result(1)));
+  auto blocked = std::async(std::launch::async, [&] {
+    return buffer.park(2, make_result(2));
+  });
+  EXPECT_EQ(blocked.wait_for(std::chrono::milliseconds(50)),
+            std::future_status::timeout);
+  release.open();
+  EXPECT_TRUE(blocked.get());
+  flusher.join();
+  EXPECT_TRUE(buffer.park(3, make_result(3)));
+  EXPECT_EQ(delivered, (std::vector<int>{0, 1, 2, 3}));
+  EXPECT_EQ(buffer.delivered(), 4u);
 }
 
 TEST(SlotReorderBuffer, ManyThreadsRandomOrderStaysOrderedAndBounded) {

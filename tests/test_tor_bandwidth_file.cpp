@@ -2,10 +2,42 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdio>
+#include <limits>
+#include <sstream>
+#include <string>
+
 #include "net/units.h"
+#include "sim/random.h"
 
 namespace flashflow::tor {
 namespace {
+
+// The ostringstream + snprintf("%.3f") writer serialize_bandwidth_file
+// replaced, kept as the oracle its bytes must match.
+std::string reference_serialize(const BandwidthFileHeader& header,
+                                const BandwidthFile& entries) {
+  std::ostringstream out;
+  out << header.timestamp << "\n";
+  out << "version=" << header.version << "\n";
+  out << "software=" << header.software << "\n";
+  out << "software_version=" << header.software_version << "\n";
+  out << "=====\n";
+  for (const auto& e : entries) {
+    const auto bw_kb = static_cast<long long>(
+        std::max(1.0, std::round(e.weight / 8000.0)));
+    out << "node_id=$" << e.fingerprint << " bw=" << bw_kb;
+    if (e.capacity_bits > 0.0) {
+      char buf[32];
+      std::snprintf(buf, sizeof buf, "%.3f", net::to_mbit(e.capacity_bits));
+      out << " flashflow_capacity_mbits=" << buf;
+    }
+    out << "\n";
+  }
+  return out.str();
+}
 
 BandwidthFile sample_entries() {
   return {{"AAAA", net::mbit(80), net::mbit(100)},
@@ -104,6 +136,44 @@ TEST(BandwidthFileFormat, IgnoresUnknownKeys) {
   EXPECT_EQ(parsed.header.version, "9.9");
   ASSERT_EQ(parsed.entries.size(), 1u);
   EXPECT_EQ(parsed.entries[0].fingerprint, "AAAA");
+}
+
+TEST(BandwidthFileFormat, MatchesStreamAndSnprintfWriterByteForByte) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  sim::Rng rng(20240611);
+  BandwidthFileHeader header;
+  header.timestamp = -1234567890123LL;
+  BandwidthFile entries;
+  for (int i = 0; i < 20000; ++i) {
+    BandwidthFileEntry e;
+    e.fingerprint = "FP" + std::to_string(i);
+    e.weight = std::pow(10.0, rng.uniform(-2.0, 15.0));
+    switch (i % 5) {
+      case 0:  // log-uniform capacities, sub-bit to 10 Tbit/s
+        e.capacity_bits = std::pow(10.0, rng.uniform(-4.0, 13.0));
+        break;
+      case 1:  // exact "%.3f" ties: k/16 Mbit/s, divided exactly by 1e6
+        e.capacity_bits = static_cast<double>(rng.uniform_int(1, 1 << 24)) *
+                          62500.0;
+        break;
+      case 2:  // typical relay capacities
+        e.capacity_bits = rng.uniform(1e5, 1e10);
+        break;
+      case 3:  // omitted: non-positive capacities and NaN
+        e.capacity_bits = i % 3 == 0   ? 0.0
+                          : i % 3 == 1 ? -5e6
+                                       : std::nan("");
+        break;
+      default:  // extremes
+        e.capacity_bits = i % 2 == 0 ? kInf : 1e22;
+        break;
+    }
+    entries.push_back(e);
+  }
+  EXPECT_EQ(serialize_bandwidth_file(header, entries),
+            reference_serialize(header, entries));
+  EXPECT_EQ(serialize_bandwidth_file(BandwidthFileHeader{}, {}),
+            reference_serialize(BandwidthFileHeader{}, {}));
 }
 
 }  // namespace
